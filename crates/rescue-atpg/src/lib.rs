@@ -55,7 +55,7 @@ pub use fsim::{FaultSim, FsimStats, Kernel, Observation};
 pub use isolation::{IsolationOutcome, Isolator};
 pub use parallel::{resolve_threads, FaultShards, FsimParallel, LaneShards};
 pub use podem::{Podem, PodemConfig, PodemResult, PodemStats, TestCube};
-pub use threeval::V3;
+pub use threeval::{controlling_value, eval_gate_v3, V3};
 pub use tpg::{
     merge_cubes, Atpg, AtpgConfig, AtpgCounts, AtpgMetrics, AtpgRun, AtpgTiming, FaultClass,
     ScanTestStats,

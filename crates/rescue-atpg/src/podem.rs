@@ -7,10 +7,32 @@
 //! points (pins directly, captured state through scan-out). Pin
 //! constraints model test-mode wiring — `scan_enable` is held at 0 during
 //! capture.
+//!
+//! # Event-driven implication
+//!
+//! The engine runs two three-valued machines side by side, good and
+//! faulty, over the packed gate order of [`Levelized`]. Each `generate`
+//! call starts from a fault-free state computed once per engine (every
+//! free variable X, the constraints implied), injects the fault as an
+//! event, and from then on every decision or backtrack only re-writes
+//! the free variables it changes. A change marks the fanout gates dirty;
+//! dirty gates are evaluated in packed order, which is level-major, so
+//! each gate is evaluated after every input that changed this step. A
+//! backtrack re-propagates the released variables as X events instead of
+//! undoing a trail: the net values are a pure function of the current
+//! assignment, so both reach the same state.
+//!
+//! The D-frontier and the detection test are kept incrementally too: a
+//! gate's frontier membership is re-checked whenever it is evaluated
+//! (its inputs changed), and a counter holds how many observed nets
+//! carry a difference. The frontier is a bitset keyed by the gate's rank
+//! in [`Netlist::topo_order`], so the objective comes from the first
+//! frontier gate in that order — the order the search has always used.
 
 use crate::threeval::{controlling_value, eval_gate_v3, V3};
-use rescue_netlist::{Driver, Fault, FaultSite, GateKind, NetId, Netlist};
+use rescue_netlist::{Driver, Fault, FaultSite, GateKind, Levelized, NetId, Netlist};
 use rescue_obs::metrics::{Counter, Histogram};
+use std::borrow::Cow;
 
 /// Tuning knobs for PODEM.
 #[derive(Clone, Copy, Debug)]
@@ -66,6 +88,9 @@ pub struct PodemStats {
     pub decisions: Counter,
     /// Backtracks across all calls.
     pub backtracks: Counter,
+    /// Gate evaluations (one per gate per machine pair) performed by
+    /// implication, added once per call.
+    pub gate_evals: Counter,
     /// Backtracks per fault (distribution over `generate` calls).
     pub backtracks_per_fault: Histogram,
 }
@@ -74,19 +99,79 @@ pub struct PodemStats {
 #[derive(Debug)]
 pub struct Podem<'a> {
     netlist: &'a Netlist,
+    lev: Cow<'a, Levelized>,
     /// Per primary input: a fixed test-mode value, if constrained.
     constraints: Vec<Option<bool>>,
     /// SCOAP-style controllability costs per net.
     cc0: Vec<u32>,
     cc1: Vec<u32>,
+    /// Per packed position: the gate's rank in `Netlist::topo_order`.
+    rank_of_pos: Vec<u32>,
+    /// Per topological rank: the gate's packed position.
+    pos_of_rank: Vec<u32>,
+    /// Per internal net: whether a primary output or flip-flop D reads it.
+    observed: Vec<bool>,
+    /// Fault-free values with every free variable X and the constraints
+    /// implied, internal net order: the state every search starts from.
+    base: Vec<V3>,
     config: PodemConfig,
     stats: PodemStats,
 }
 
-/// Scratch simulation state for one `generate` call.
+/// A decision-stack entry: (free net, current value, both values tried).
+type Decision = (NetId, bool, bool);
+
+/// Incremental simulation state for one `generate` call. Net values are
+/// in [`Levelized`] internal net order.
 struct Machine {
     good: Vec<V3>,
     bad: Vec<V3>,
+    /// The stuck value of the target fault.
+    stuck: V3,
+    /// The good value that activates the fault.
+    want_activation: bool,
+    /// Input or flip-flop Q net carrying a stem fault.
+    stem: Option<usize>,
+    /// Packed position of the gate whose output net carries the fault.
+    out_fault: Option<u32>,
+    /// Packed position and pin of a gate-input fault.
+    pin_fault: Option<(u32, usize)>,
+    /// Gates awaiting evaluation, bitset over packed positions.
+    dirty: Vec<u64>,
+    /// Lowest and highest word of `dirty` that may hold a set bit.
+    dirty_lo: usize,
+    dirty_hi: usize,
+    /// D-frontier, bitset over topological ranks.
+    frontier: Vec<u64>,
+    /// Observed nets holding a difference; the fault is detected when
+    /// this is nonzero.
+    observed_diffs: u32,
+    /// Gate evaluations this call.
+    evals: u64,
+    gbuf: Vec<V3>,
+    bbuf: Vec<V3>,
+}
+
+/// Whether a good/faulty value pair is a difference (D or D̄).
+#[inline]
+fn is_diff(g: V3, b: V3) -> bool {
+    g != V3::X && b != V3::X && g != b
+}
+
+#[inline]
+fn set_bit(bits: &mut [u64], i: usize, on: bool) {
+    let mask = 1u64 << (i % 64);
+    if on {
+        bits[i / 64] |= mask;
+    } else {
+        bits[i / 64] &= !mask;
+    }
+}
+
+fn first_bit(bits: &[u64]) -> Option<usize> {
+    bits.iter()
+        .position(|&w| w != 0)
+        .map(|w| w * 64 + bits[w].trailing_zeros() as usize)
 }
 
 const INF: u32 = u32::MAX / 4;
@@ -95,13 +180,68 @@ impl<'a> Podem<'a> {
     /// Create an engine. `constraints` has one entry per primary input
     /// (use `None` for free pins).
     pub fn new(netlist: &'a Netlist, constraints: Vec<Option<bool>>, config: PodemConfig) -> Self {
+        Self::build(
+            netlist,
+            Cow::Owned(Levelized::new(netlist)),
+            constraints,
+            config,
+        )
+    }
+
+    /// [`Podem::new`] over a levelized view the caller already holds;
+    /// `lev` must be `Levelized::new(netlist)`.
+    pub(crate) fn with_levelized(
+        netlist: &'a Netlist,
+        lev: &'a Levelized,
+        constraints: Vec<Option<bool>>,
+        config: PodemConfig,
+    ) -> Self {
+        Self::build(netlist, Cow::Borrowed(lev), constraints, config)
+    }
+
+    fn build(
+        netlist: &'a Netlist,
+        lev: Cow<'a, Levelized>,
+        constraints: Vec<Option<bool>>,
+        config: PodemConfig,
+    ) -> Self {
         assert_eq!(constraints.len(), netlist.inputs().len());
+        assert_eq!(lev.num_gates(), netlist.num_gates());
         let (cc0, cc1) = scoap(netlist, &constraints);
+        let pos_of_rank: Vec<u32> = netlist
+            .topo_order()
+            .iter()
+            .map(|&g| lev.pos_of(g))
+            .collect();
+        let mut rank_of_pos = vec![0u32; pos_of_rank.len()];
+        for (rank, &pos) in pos_of_rank.iter().enumerate() {
+            rank_of_pos[pos as usize] = rank as u32;
+        }
+        let observed = (0..lev.num_nets())
+            .map(|ni| !lev.fanout_outputs(ni).is_empty() || !lev.fanout_dffs(ni).is_empty())
+            .collect();
+        let mut base = vec![V3::X; lev.num_nets()];
+        for (&ni, c) in lev.input_nets().iter().zip(&constraints) {
+            if let Some(c) = *c {
+                base[ni as usize] = V3::from_bool(c);
+            }
+        }
+        let mut buf = Vec::with_capacity(lev.max_fanin());
+        for pos in 0..lev.num_gates() as u32 {
+            buf.clear();
+            buf.extend(lev.inputs(pos).iter().map(|&i| base[i as usize]));
+            base[lev.out_net(pos) as usize] = eval_gate_v3(lev.kind(pos), &buf);
+        }
         Podem {
             netlist,
+            lev,
             constraints,
             cc0,
             cc1,
+            rank_of_pos,
+            pos_of_rank,
+            observed,
+            base,
             config,
             stats: PodemStats::default(),
         }
@@ -116,7 +256,9 @@ impl<'a> Podem<'a> {
     pub fn generate(&self, fault: Fault) -> PodemResult {
         self.stats.faults_targeted.inc();
         let mut backtracks = 0usize;
-        let result = self.search(fault, &mut backtracks);
+        let mut m = self.machine(fault);
+        let result = self.search(&mut m, fault, &mut backtracks, |_, _| {});
+        self.stats.gate_evals.add(m.evals);
         self.stats.backtracks_per_fault.record(backtracks as u64);
         match &result {
             PodemResult::Test(_) => self.stats.tests_found.inc(),
@@ -126,27 +268,71 @@ impl<'a> Podem<'a> {
         result
     }
 
-    fn search(&self, fault: Fault, backtracks: &mut usize) -> PodemResult {
-        let n = self.netlist;
+    /// The base state with `fault` injected and implied.
+    fn machine(&self, fault: Fault) -> Machine {
+        let lev = &*self.lev;
+        let words = lev.num_gates().div_ceil(64);
         let mut m = Machine {
-            good: vec![V3::X; n.num_nets()],
-            bad: vec![V3::X; n.num_nets()],
+            good: self.base.clone(),
+            bad: self.base.clone(),
+            stuck: V3::from_bool(fault.stuck_at.is_one()),
+            want_activation: !fault.stuck_at.is_one(),
+            stem: None,
+            out_fault: None,
+            pin_fault: None,
+            dirty: vec![0; words],
+            dirty_lo: usize::MAX,
+            dirty_hi: 0,
+            frontier: vec![0; words],
+            observed_diffs: 0,
+            evals: 0,
+            gbuf: Vec::with_capacity(lev.max_fanin()),
+            bbuf: Vec::with_capacity(lev.max_fanin()),
         };
-        // Decision stack: (net, current value, tried_both).
-        let mut stack: Vec<(NetId, bool, bool)> = Vec::new();
-        // Current assignments to free-variable nets.
-        let mut assign: Vec<V3> = vec![V3::X; n.num_nets()];
+        match fault.site {
+            FaultSite::Net(site) => match self.netlist.net_driver(site) {
+                Driver::Gate(g) => {
+                    let pos = lev.pos_of(g);
+                    m.out_fault = Some(pos);
+                    m.mark(pos);
+                }
+                Driver::Input(_) | Driver::Dff(_) => {
+                    let ni = lev.new_net(site.index());
+                    let (g, stuck) = (m.good[ni], m.stuck);
+                    m.stem = Some(ni);
+                    self.write(&mut m, ni, g, stuck);
+                }
+            },
+            FaultSite::GateInput(g, pin) => {
+                let pos = lev.pos_of(g);
+                m.pin_fault = Some((pos, pin as usize));
+                m.mark(pos);
+            }
+        }
+        self.propagate(&mut m);
+        m
+    }
 
+    /// The PODEM decision loop over an injected machine. `on_step` sees
+    /// the implied state after injection and after every decision and
+    /// backtrack.
+    fn search(
+        &self,
+        m: &mut Machine,
+        fault: Fault,
+        backtracks: &mut usize,
+        mut on_step: impl FnMut(&Machine, &[Decision]),
+    ) -> PodemResult {
+        let mut stack: Vec<Decision> = Vec::new();
         loop {
-            self.imply(&mut m, &assign, fault);
-
-            if self.detected(&m) {
-                return PodemResult::Test(self.extract_cube(&assign));
+            on_step(m, &stack);
+            if m.observed_diffs > 0 {
+                return PodemResult::Test(self.extract_cube(m));
             }
 
-            let objective = self.pick_objective(&m, fault);
+            let objective = self.pick_objective(m, fault);
             let next = match objective {
-                Some(obj) => self.backtrace(&m, obj),
+                Some(obj) => self.backtrace(m, obj),
                 None => None,
             };
 
@@ -154,107 +340,134 @@ impl<'a> Podem<'a> {
                 Some((net, value)) => {
                     self.stats.decisions.inc();
                     stack.push((net, value, false));
-                    assign[net.index()] = V3::from_bool(value);
+                    self.assign(m, net, V3::from_bool(value));
                 }
                 None => {
                     // Dead end: backtrack.
                     loop {
                         match stack.pop() {
                             None => return PodemResult::Untestable,
-                            Some((net, v, tried_both)) => {
-                                assign[net.index()] = V3::X;
-                                if !tried_both {
-                                    *backtracks += 1;
-                                    self.stats.backtracks.inc();
-                                    if *backtracks > self.config.max_backtracks {
-                                        return PodemResult::Aborted;
-                                    }
-                                    stack.push((net, !v, true));
-                                    assign[net.index()] = V3::from_bool(!v);
-                                    break;
+                            Some((net, _, true)) => self.assign(m, net, V3::X),
+                            Some((net, v, false)) => {
+                                *backtracks += 1;
+                                self.stats.backtracks.inc();
+                                if *backtracks > self.config.max_backtracks {
+                                    return PodemResult::Aborted;
                                 }
+                                stack.push((net, !v, true));
+                                self.assign(m, net, V3::from_bool(!v));
+                                break;
                             }
                         }
                     }
                 }
             }
+            self.propagate(m);
         }
     }
 
-    /// Forward-imply assignments through the circuit with the fault active
-    /// in the bad machine.
-    fn imply(&self, m: &mut Machine, assign: &[V3], fault: Fault) {
-        let n = self.netlist;
-        let stuck = V3::from_bool(fault.stuck_at.is_one());
-        // Seed inputs and state.
-        for (i, &net) in n.inputs().iter().enumerate() {
-            let v = match self.constraints[i] {
-                Some(c) => V3::from_bool(c),
-                None => assign[net.index()],
-            };
-            m.good[net.index()] = v;
-            m.bad[net.index()] = v;
+    /// Set a free variable (primary input or flip-flop Q) to `v`; the
+    /// faulty machine keeps a stem fault's stuck value.
+    fn assign(&self, m: &mut Machine, net: NetId, v: V3) {
+        let ni = self.lev.new_net(net.index());
+        let b = if m.stem == Some(ni) { m.stuck } else { v };
+        self.write(m, ni, v, b);
+    }
+
+    /// Store a net's good/faulty pair, keep the detection count, and
+    /// mark the readers dirty if the pair changed.
+    fn write(&self, m: &mut Machine, ni: usize, g: V3, b: V3) {
+        let (og, ob) = (m.good[ni], m.bad[ni]);
+        if og == g && ob == b {
+            return;
         }
-        for d in n.dffs() {
-            let q = d.q();
-            m.good[q.index()] = assign[q.index()];
-            m.bad[q.index()] = assign[q.index()];
+        if self.observed[ni] {
+            m.observed_diffs =
+                m.observed_diffs + u32::from(is_diff(g, b)) - u32::from(is_diff(og, ob));
         }
-        // Stem fault on an input/state net applies immediately.
-        if let FaultSite::Net(site) = fault.site {
-            if !matches!(n.net_driver(site), Driver::Gate(_)) {
-                m.bad[site.index()] = stuck;
+        m.good[ni] = g;
+        m.bad[ni] = b;
+        for &pos in self.lev.fanout(ni) {
+            m.mark(pos);
+        }
+    }
+
+    /// Evaluate dirty gates in packed (level-major) order until none is
+    /// left. A gate only marks readers at higher levels, so one forward
+    /// pass suffices.
+    fn propagate(&self, m: &mut Machine) {
+        let mut w = m.dirty_lo;
+        while w <= m.dirty_hi {
+            while m.dirty[w] != 0 {
+                let bit = m.dirty[w].trailing_zeros() as usize;
+                m.dirty[w] &= m.dirty[w] - 1;
+                self.eval(m, (w * 64 + bit) as u32);
             }
+            w += 1;
         }
-        // Evaluate gates in topological order.
-        let mut gbuf: Vec<V3> = Vec::with_capacity(8);
-        let mut bbuf: Vec<V3> = Vec::with_capacity(8);
-        for &gid in n.topo_order() {
-            let gate = n.gate(gid);
-            gbuf.clear();
-            bbuf.clear();
-            for &inp in gate.inputs() {
-                gbuf.push(m.good[inp.index()]);
-                bbuf.push(m.bad[inp.index()]);
-            }
-            if let FaultSite::GateInput(fg, pin) = fault.site {
-                if fg == gid {
-                    bbuf[pin as usize] = stuck;
+        m.dirty_lo = usize::MAX;
+        m.dirty_hi = 0;
+    }
+
+    /// Evaluate one gate in both machines and re-check its D-frontier
+    /// membership.
+    fn eval(&self, m: &mut Machine, pos: u32) {
+        let lev = &*self.lev;
+        m.evals += 1;
+        m.gbuf.clear();
+        m.bbuf.clear();
+        let mut has_d_input = false;
+        let mut has_x_input = false;
+        for &i in lev.inputs(pos) {
+            let (g, b) = (m.good[i as usize], m.bad[i as usize]);
+            m.gbuf.push(g);
+            m.bbuf.push(b);
+            has_d_input |= is_diff(g, b);
+            has_x_input |= g == V3::X;
+        }
+        if let Some((fp, pin)) = m.pin_fault {
+            if fp == pos {
+                m.bbuf[pin] = m.stuck;
+                // A pin fault creates its difference on the pin itself,
+                // which net values cannot show: the faulty gate joins
+                // the D-frontier as soon as the good machine drives the
+                // pin opposite to the stuck value.
+                if m.gbuf[pin].to_bool() == Some(m.want_activation) {
+                    has_d_input = true;
                 }
             }
-            let out = gate.output();
-            m.good[out.index()] = eval_gate_v3(gate.kind(), &gbuf);
-            let mut bv = eval_gate_v3(gate.kind(), &bbuf);
-            if fault.site == FaultSite::Net(out) {
-                bv = stuck;
-            }
-            m.bad[out.index()] = bv;
         }
+        let kind = lev.kind(pos);
+        let g = eval_gate_v3(kind, &m.gbuf);
+        let b = if m.out_fault == Some(pos) {
+            m.stuck
+        } else {
+            eval_gate_v3(kind, &m.bbuf)
+        };
+        self.write(m, lev.out_net(pos) as usize, g, b);
+        let member = has_d_input && has_x_input && !is_diff(g, b);
+        set_bit(
+            &mut m.frontier,
+            self.rank_of_pos[pos as usize] as usize,
+            member,
+        );
     }
 
-    /// Whether a difference (D or D̄) has reached an observation point.
-    fn detected(&self, m: &Machine) -> bool {
-        let n = self.netlist;
-        let observed = |net: NetId| {
-            let g = m.good[net.index()];
-            let b = m.bad[net.index()];
-            g != V3::X && b != V3::X && g != b
-        };
-        n.outputs().iter().any(|(_, net)| observed(*net))
-            || n.dffs().iter().any(|d| observed(d.d()))
+    fn good(&self, m: &Machine, net: NetId) -> V3 {
+        m.good[self.lev.new_net(net.index())]
     }
 
     /// PODEM objective: activate the fault, then advance the D-frontier.
     fn pick_objective(&self, m: &Machine, fault: Fault) -> Option<(NetId, bool)> {
-        let n = self.netlist;
-        let want_activation = !fault.stuck_at.is_one();
+        let lev = &*self.lev;
+        let want_activation = m.want_activation;
         // Activation net: the node the good machine must drive opposite
         // to the stuck value.
         let act_net = match fault.site {
             FaultSite::Net(net) => net,
-            FaultSite::GateInput(g, pin) => n.gate(g).inputs()[pin as usize],
+            FaultSite::GateInput(g, pin) => self.netlist.gate(g).inputs()[pin as usize],
         };
-        match m.good[act_net.index()] {
+        match self.good(m, act_net) {
             V3::X => return Some((act_net, want_activation)),
             v => {
                 if v.to_bool() != Some(want_activation) {
@@ -265,60 +478,29 @@ impl<'a> Podem<'a> {
             }
         }
 
-        // D-frontier: gates with a difference on an input and an
-        // undetermined output difference. Pick the first; objective is an
-        // unassigned input at the gate's non-controlling value.
-        for &gid in n.topo_order() {
-            let gate = n.gate(gid);
-            let out = gate.output();
-            let out_g = m.good[out.index()];
-            let out_b = m.bad[out.index()];
-            let out_diff = out_g != V3::X && out_b != V3::X && out_g != out_b;
-            if out_diff {
-                continue;
+        // D-frontier: gates with a difference on an input, an
+        // undetermined output difference and an X input. Take the first
+        // in topological order; the objective is its first X input at
+        // the gate's non-controlling value.
+        let pos = self.pos_of_rank[first_bit(&m.frontier)?];
+        let inputs = lev.inputs(pos);
+        let (pin, &i) = inputs
+            .iter()
+            .enumerate()
+            .find(|&(_, &i)| m.good[i as usize] == V3::X)
+            .expect("frontier gates have an X input");
+        let value = match lev.kind(pos) {
+            GateKind::Mux if pin == 0 => {
+                // Select the leg carrying the difference.
+                let a = inputs[1] as usize;
+                !is_diff(m.good[a], m.bad[a])
             }
-            let mut has_d_input = gate.inputs().iter().any(|&i| {
-                let g = m.good[i.index()];
-                let b = m.bad[i.index()];
-                g != V3::X && b != V3::X && g != b
-            });
-            // A pin fault creates its difference on the pin itself, which
-            // net values cannot show: the faulty gate joins the D-frontier
-            // as soon as the good machine drives the pin opposite to the
-            // stuck value.
-            if let FaultSite::GateInput(fg, pin) = fault.site {
-                if fg == gid {
-                    let src = gate.inputs()[pin as usize];
-                    if m.good[src.index()].to_bool() == Some(want_activation) {
-                        has_d_input = true;
-                    }
-                }
-            }
-            if !has_d_input {
-                continue;
-            }
-            // Find an X input to sensitize through.
-            for (pin, &i) in gate.inputs().iter().enumerate() {
-                if m.good[i.index()] == V3::X {
-                    let value = match gate.kind() {
-                        GateKind::Mux if pin == 0 => {
-                            // Select the leg carrying the difference.
-                            let a = gate.inputs()[1];
-                            let da = m.good[a.index()] != m.bad[a.index()]
-                                && m.good[a.index()] != V3::X
-                                && m.bad[a.index()] != V3::X;
-                            !da
-                        }
-                        k => match controlling_value(k) {
-                            Some(c) => !c,
-                            None => false,
-                        },
-                    };
-                    return Some((i, value));
-                }
-            }
-        }
-        None
+            k => match controlling_value(k) {
+                Some(c) => !c,
+                None => false,
+            },
+        };
+        Some((NetId::from_index(lev.old_net(i as usize)), value))
     }
 
     /// Backtrace an objective to an unassigned free input, picking the
@@ -353,7 +535,7 @@ impl<'a> Podem<'a> {
                             let sel = gate.inputs()[0];
                             let a = gate.inputs()[1];
                             let b = gate.inputs()[2];
-                            match m.good[sel.index()] {
+                            match self.good(m, sel) {
                                 V3::Zero => net = a,
                                 V3::One => net = b,
                                 V3::X => {
@@ -377,7 +559,7 @@ impl<'a> Podem<'a> {
                                 .inputs()
                                 .iter()
                                 .copied()
-                                .find(|i| m.good[i.index()] == V3::X)?;
+                                .find(|&i| self.good(m, i) == V3::X)?;
                             let v0 = self.cost(x_in, false);
                             let v1 = self.cost(x_in, true);
                             net = x_in;
@@ -391,23 +573,15 @@ impl<'a> Podem<'a> {
                             // For AND: output 0 needs one input 0 (easy pick);
                             // output 1 needs all inputs 1 (pick hardest X).
                             let want_controlling = needed == c;
-                            let xs: Vec<NetId> = gate
+                            let xs = gate
                                 .inputs()
                                 .iter()
                                 .copied()
-                                .filter(|i| m.good[i.index()] == V3::X)
-                                .collect();
-                            if xs.is_empty() {
-                                return None;
-                            }
+                                .filter(|&i| self.good(m, i) == V3::X);
                             let target = if want_controlling {
-                                *xs.iter()
-                                    .min_by_key(|&&i| self.cost(i, c))
-                                    .expect("nonempty")
+                                xs.min_by_key(|&i| self.cost(i, c))?
                             } else {
-                                *xs.iter()
-                                    .max_by_key(|&&i| self.cost(i, !c))
-                                    .expect("nonempty")
+                                xs.max_by_key(|&i| self.cost(i, !c))?
                             };
                             net = target;
                             value = if want_controlling { c } else { !c };
@@ -426,18 +600,12 @@ impl<'a> Podem<'a> {
         }
     }
 
-    fn extract_cube(&self, assign: &[V3]) -> TestCube {
+    /// The cube of the current assignment: a free variable's good value
+    /// is exactly its assignment.
+    fn extract_cube(&self, m: &Machine) -> TestCube {
         let n = self.netlist;
-        let inputs = n
-            .inputs()
-            .iter()
-            .enumerate()
-            .map(|(i, &net)| match self.constraints[i] {
-                Some(c) => V3::from_bool(c),
-                None => assign[net.index()],
-            })
-            .collect();
-        let state = n.dffs().iter().map(|d| assign[d.q().index()]).collect();
+        let inputs = n.inputs().iter().map(|&net| self.good(m, net)).collect();
+        let state = n.dffs().iter().map(|d| self.good(m, d.q())).collect();
         TestCube { inputs, state }
     }
 
@@ -447,8 +615,21 @@ impl<'a> Podem<'a> {
     }
 }
 
-/// SCOAP combinational controllability (cost to set each net to 0 / 1).
-fn scoap(netlist: &Netlist, constraints: &[Option<bool>]) -> (Vec<u32>, Vec<u32>) {
+impl Machine {
+    /// Queue the gate at packed position `pos` for evaluation.
+    #[inline]
+    fn mark(&mut self, pos: u32) {
+        let w = pos as usize / 64;
+        self.dirty[w] |= 1u64 << (pos % 64);
+        self.dirty_lo = self.dirty_lo.min(w);
+        self.dirty_hi = self.dirty_hi.max(w);
+    }
+}
+
+/// SCOAP combinational controllability (cost to set each net to 0 / 1,
+/// indexed by [`NetId`]) under pin constraints: the costs PODEM's
+/// backtrace steers by.
+pub fn scoap(netlist: &Netlist, constraints: &[Option<bool>]) -> (Vec<u32>, Vec<u32>) {
     let mut cc0 = vec![INF; netlist.num_nets()];
     let mut cc1 = vec![INF; netlist.num_nets()];
     for (i, &net) in netlist.inputs().iter().enumerate() {
@@ -542,7 +723,7 @@ fn scoap(netlist: &Netlist, constraints: &[Option<bool>]) -> (Vec<u32>, Vec<u32>
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rescue_netlist::{NetlistBuilder, StuckAt};
+    use rescue_netlist::{GateId, NetlistBuilder, StuckAt};
 
     fn and_circuit() -> Netlist {
         let mut b = NetlistBuilder::new();
@@ -635,5 +816,250 @@ mod tests {
             }
             other => panic!("expected a test, got {other:?}"),
         }
+    }
+
+    /// Full re-simulation of both machines from the decision stack:
+    /// every gate in topological order, good and faulty values indexed
+    /// by `NetId`. Test-only: the engine never sweeps the whole design.
+    fn full_sweep(p: &Podem, stack: &[Decision], fault: Fault) -> (Vec<V3>, Vec<V3>) {
+        let n = p.netlist;
+        let stuck = V3::from_bool(fault.stuck_at.is_one());
+        let mut good = vec![V3::X; n.num_nets()];
+        for (i, &net) in n.inputs().iter().enumerate() {
+            if let Some(c) = p.constraints[i] {
+                good[net.index()] = V3::from_bool(c);
+            }
+        }
+        for &(net, v, _) in stack {
+            good[net.index()] = V3::from_bool(v);
+        }
+        let mut bad = good.clone();
+        if let FaultSite::Net(site) = fault.site {
+            if !matches!(n.net_driver(site), Driver::Gate(_)) {
+                bad[site.index()] = stuck;
+            }
+        }
+        for &gid in n.topo_order() {
+            let gate = n.gate(gid);
+            let gv: Vec<V3> = gate.inputs().iter().map(|i| good[i.index()]).collect();
+            let mut bv: Vec<V3> = gate.inputs().iter().map(|i| bad[i.index()]).collect();
+            if let FaultSite::GateInput(fg, pin) = fault.site {
+                if fg == gid {
+                    bv[pin as usize] = stuck;
+                }
+            }
+            let out = gate.output().index();
+            good[out] = eval_gate_v3(gate.kind(), &gv);
+            bad[out] = if fault.site == FaultSite::Net(gate.output()) {
+                stuck
+            } else {
+                eval_gate_v3(gate.kind(), &bv)
+            };
+        }
+        (good, bad)
+    }
+
+    /// Run PODEM on `fault`, asserting after injection and after every
+    /// decision and backtrack that the incremental values, D-frontier
+    /// and detection count equal a full re-simulation. Returns the
+    /// result and the number of states checked.
+    fn check_incremental(p: &Podem, fault: Fault) -> (PodemResult, usize) {
+        let n = p.netlist;
+        let lev = &*p.lev;
+        let want = !fault.stuck_at.is_one();
+        let mut steps = 0;
+        let mut m = p.machine(fault);
+        let result = p.search(&mut m, fault, &mut 0, |m, stack| {
+            steps += 1;
+            let (good, bad) = full_sweep(p, stack, fault);
+            for old in 0..n.num_nets() {
+                let ni = lev.new_net(old);
+                assert_eq!(
+                    (m.good[ni], m.bad[ni]),
+                    (good[old], bad[old]),
+                    "{fault}: net {} after {} decisions",
+                    n.net_name(NetId::from_index(old)),
+                    stack.len()
+                );
+            }
+            let diff = |i: NetId| is_diff(good[i.index()], bad[i.index()]);
+            for (rank, &gid) in n.topo_order().iter().enumerate() {
+                let gate = n.gate(gid);
+                let pin_d = matches!(fault.site, FaultSite::GateInput(fg, pin)
+                    if fg == gid && good[gate.inputs()[pin as usize].index()].to_bool() == Some(want));
+                let member = !diff(gate.output())
+                    && (pin_d || gate.inputs().iter().any(|&i| diff(i)))
+                    && gate.inputs().iter().any(|i| good[i.index()] == V3::X);
+                let bit = m.frontier[rank / 64] >> (rank % 64) & 1 == 1;
+                assert_eq!(bit, member, "{fault}: frontier membership of gate {rank}");
+            }
+            let detected = n.outputs().iter().any(|&(_, net)| diff(net))
+                || n.dffs().iter().any(|d| diff(d.d()));
+            assert_eq!(m.observed_diffs > 0, detected, "{fault}: detection");
+        });
+        assert_eq!(result, p.generate(fault), "{fault}: checked run diverged");
+        (result, steps)
+    }
+
+    /// Random two-component DAG circuits shaped like the `atpg_props`
+    /// suite's: four inputs, 2–23 gates, two observed flip-flops.
+    fn random_circuit(rng: &mut rescue_obs::SplitMix64) -> Netlist {
+        let mut b = NetlistBuilder::new();
+        b.enter_component("lc0");
+        let mut nets: Vec<NetId> = (0..4).map(|i| b.input(&format!("i{i}"))).collect();
+        let len = 2 + rng.below(22);
+        for k in 0..len {
+            if k == len / 2 {
+                b.enter_component("lc1");
+            }
+            let (kind, a, c) = (rng.below(7), rng.below(nets.len()), rng.below(nets.len()));
+            let (x, y) = (nets[a], nets[c]);
+            let out = match kind {
+                0 => b.and2(x, y),
+                1 => b.or2(x, y),
+                2 => b.xor2(x, y),
+                3 => b.nand2(x, y),
+                4 => b.nor2(x, y),
+                5 => b.not(x),
+                _ => b.mux(nets[(a + 1) % nets.len()], x, y),
+            };
+            nets.push(out);
+        }
+        let tail = nets.len();
+        let q0 = b.dff(nets[tail - 1], "q0");
+        b.output(q0, "o0");
+        let q1 = b.dff(nets[tail - 2], "q1");
+        b.output(q1, "o1");
+        b.finish().unwrap()
+    }
+
+    #[test]
+    fn incremental_state_matches_full_resimulation_on_random_circuits() {
+        let mut rng = rescue_obs::SplitMix64::new(0xa791);
+        let mut steps = 0;
+        for _ in 0..64 {
+            let n = random_circuit(&mut rng);
+            let p = Podem::new(&n, vec![None; n.inputs().len()], PodemConfig::default());
+            for fault in n.enumerate_faults() {
+                steps += check_incremental(&p, fault).1;
+            }
+        }
+        assert!(steps > 1000, "only {steps} states checked");
+    }
+
+    #[test]
+    fn incremental_state_matches_full_resimulation_on_quick_designs() {
+        use rescue_model::{build_pipeline, ModelParams, Variant};
+        for variant in [Variant::Baseline, Variant::Rescue] {
+            let model = build_pipeline(&ModelParams::tiny(), variant);
+            let scanned = rescue_netlist::scan::insert_scan(&model.netlist).unwrap();
+            let atpg = crate::Atpg::new(&scanned, crate::AtpgConfig::default()).unwrap();
+            let p = Podem::new(
+                &scanned.netlist,
+                atpg.capture_constraints(),
+                PodemConfig::default(),
+            );
+            // Every 16th targetable fault keeps the full re-simulations
+            // affordable while still reaching aborted searches.
+            let faults: Vec<Fault> = scanned
+                .netlist
+                .collapse_faults()
+                .into_iter()
+                .filter(|&f| !atpg.is_chain_fault(f))
+                .step_by(16)
+                .collect();
+            let mut seen = [0usize; 3];
+            for f in faults {
+                let kind = match check_incremental(&p, f).0 {
+                    PodemResult::Test(_) => 0,
+                    PodemResult::Untestable => 1,
+                    PodemResult::Aborted => 2,
+                };
+                seen[kind] += 1;
+            }
+            assert!(
+                seen.iter().all(|&k| k > 0),
+                "{variant:?}: outcomes {seen:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn frontier_pick_follows_topo_order_not_packed_order() {
+        // a fans out to two level-0 ANDs. `topo_order` pops its ready
+        // stack last-in first, so it lists g1 before g0, while the
+        // packed order sorts by (level, gate id): g0 first.
+        let mut b = NetlistBuilder::new();
+        b.enter_component("c");
+        let a = b.input("a");
+        let x = b.input("x");
+        let y = b.input("y");
+        let g0 = b.and2(a, x);
+        let g1 = b.and2(a, y);
+        b.output(g0, "o0");
+        b.output(g1, "o1");
+        let n = b.finish().unwrap();
+        let p = Podem::new(&n, vec![None; 3], PodemConfig::default());
+        let (id0, id1) = (GateId::from_index(0), GateId::from_index(1));
+        assert_eq!(n.topo_order(), &[id1, id0]);
+        assert_eq!((p.lev.gate_at(0), p.lev.gate_at(1)), (id0, id1));
+        // a sa0: activation sets a = 1, putting both ANDs on the
+        // frontier; the topologically first (g1) is sensitized via y.
+        let (result, _) = check_incremental(&p, Fault::net(a, StuckAt::Zero));
+        match result {
+            PodemResult::Test(cube) => assert_eq!(cube.inputs, vec![V3::One, V3::X, V3::One]),
+            other => panic!("expected a test, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn stem_pin_and_constrained_faults_stay_incremental() {
+        // A scan-style capture cell: se selects between functional data
+        // d (through an AND with the flop's own Q) and scan-in si.
+        let mut b = NetlistBuilder::new();
+        b.enter_component("c");
+        let se = b.input("se");
+        let si = b.input("si");
+        let d = b.input("d");
+        let (q, fb) = b.dff_feedback("r");
+        let func = b.and2(d, q);
+        let cap = b.mux(se, func, si);
+        b.connect_dff(fb, cap);
+        b.output(q, "o");
+        let n = b.finish().unwrap();
+        let mux = GateId::from_index(1);
+        assert_eq!(n.gate(mux).kind(), GateKind::Mux);
+        let p = Podem::new(&n, vec![Some(false), None, None], PodemConfig::default());
+        let cases = [
+            // Stem fault on a primary input.
+            (Fault::net(d, StuckAt::One), "test"),
+            // Stem fault on a flip-flop Q.
+            (Fault::net(q, StuckAt::Zero), "test"),
+            // Pin fault on the mux select, and on the scan-in leg that
+            // the constrained select never passes.
+            (Fault::pin(mux, 0, StuckAt::One), "test"),
+            (Fault::pin(mux, 2, StuckAt::One), "untestable"),
+            // Stem faults on the constrained pin itself.
+            (Fault::net(se, StuckAt::Zero), "untestable"),
+            (Fault::net(se, StuckAt::One), "test"),
+        ];
+        for (fault, want) in cases {
+            let got = match check_incremental(&p, fault).0 {
+                PodemResult::Test(_) => "test",
+                PodemResult::Untestable => "untestable",
+                PodemResult::Aborted => "aborted",
+            };
+            assert_eq!(got, want, "{fault}");
+        }
+    }
+
+    #[test]
+    fn gate_evals_are_counted_once_per_call() {
+        let n = and_circuit();
+        let p = Podem::new(&n, vec![None, None], PodemConfig::default());
+        let out_net = n.outputs()[0].1;
+        p.generate(Fault::net(out_net, StuckAt::Zero));
+        // Injection, a = 1, b = 1: the single gate is evaluated each time.
+        assert_eq!(p.stats().gate_evals.get(), 3);
     }
 }

@@ -162,6 +162,9 @@ pub struct AtpgCounts {
     pub podem_decisions: u64,
     /// PODEM backtracks across all targets.
     pub podem_backtracks: u64,
+    /// Gates PODEM's event-driven implication evaluated (good and
+    /// faulty machine together count once) across all targets.
+    pub podem_gate_evals: u64,
     /// Distribution of backtracks per targeted fault.
     pub backtracks_per_fault: HistogramSnapshot,
     /// Capture vectors generated after compaction and fill.
@@ -460,7 +463,7 @@ impl<'a> Atpg<'a> {
             counts.prepass_proven = prepass_proven.len() as u64;
         }
 
-        let podem = Podem::new(n, constraints, self.config.podem);
+        let podem = Podem::with_levelized(n, lev, constraints, self.config.podem);
 
         let lane_words = self.config.lane_words;
         let mut shards = LaneShards::new(lev, resolve_threads(self.config.threads), lane_words)
@@ -706,6 +709,7 @@ impl<'a> Atpg<'a> {
         let ps = podem.stats();
         counts.podem_decisions = ps.decisions.get();
         counts.podem_backtracks = ps.backtracks.get();
+        counts.podem_gate_evals = ps.gate_evals.get();
         counts.backtracks_per_fault = ps.backtracks_per_fault.snapshot();
         counts.fsim_gate_evals = shards.gate_evals();
         timing.total_ns = t_run.elapsed().as_nanos() as u64;

@@ -490,6 +490,7 @@ pub fn atpg_report(report: &mut Report, prefix: &str, m: &AtpgMetrics) {
         .u64("aborted", c.aborted)
         .u64("decisions", c.podem_decisions)
         .u64("backtracks", c.podem_backtracks)
+        .u64("gate_evals", c.podem_gate_evals)
         .hist("backtracks_per_fault", c.backtracks_per_fault.clone());
     report
         .section(&format!("{prefix}.fsim"))

@@ -5,9 +5,10 @@
 //! packed evaluator, two event-driven fault-propagation kernels, a
 //! multi-threaded sharding layer, structural fault-equivalence
 //! collapsing, the PODEM test generator that consumes them all, the
-//! static DFT lint that predicts untestability without simulating, and
-//! the static implication engine that proves faults redundant without
-//! searching.
+//! static DFT lint that predicts untestability without simulating, the
+//! static implication engine that proves faults redundant without
+//! searching, and a naive full-sweep PODEM that the event-driven one
+//! must match decision for decision.
 //! This crate pits them against each other on seeded random scan
 //! designs — any disagreement is a bug in one of the engines.
 //!
@@ -33,6 +34,7 @@
 
 pub mod gen;
 pub mod ir;
+mod naive_podem;
 pub mod oracles;
 pub mod repro;
 pub mod shrink;
@@ -54,7 +56,7 @@ pub struct FuzzConfig {
     pub cases: u64,
     /// Gate-count cap for the main generator shape.
     pub max_gates: usize,
-    /// Oracles to run (default: all eight).
+    /// Oracles to run (default: all nine).
     pub oracles: Vec<OracleKind>,
     /// Where to write repro files for divergences (`None` = don't).
     pub repro_dir: Option<PathBuf>,
@@ -220,7 +222,7 @@ pub fn run_fuzz(cfg: &FuzzConfig) -> FuzzReport {
 mod tests {
     use super::*;
 
-    /// The headline guarantee, at smoke scale: all eight oracles agree
+    /// The headline guarantee, at smoke scale: all nine oracles agree
     /// on every generated case. The CI `fuzz-smoke` job runs the same
     /// check at 1000 cases per seed.
     #[test]

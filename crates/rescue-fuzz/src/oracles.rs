@@ -1,4 +1,4 @@
-//! The eight cross-engine oracles.
+//! The nine cross-engine oracles.
 //!
 //! Each oracle checks one agreement property between independent
 //! implementations of the same semantics, so a bug in either side shows
@@ -32,10 +32,15 @@
 //!   redundant under capture constraints must be `Untestable` per a
 //!   deep PODEM search with the pre-pass off — a `Test` or an abort
 //!   would mean an unsound proof silently inflating coverage.
+//! * [`podem`] — the event-driven production PODEM against the naive
+//!   full-sweep reference (`naive_podem.rs`): the same result, cube,
+//!   decisions and backtracks for every targetable fault.
 
 use crate::ir::CaseIr;
+use crate::naive_podem::NaivePodem;
 use rescue_atpg::{
     Atpg, AtpgConfig, FaultClass, FaultShards, FaultSim, Kernel, Podem, PodemConfig, PodemResult,
+    PodemStats,
 };
 use rescue_netlist::scan::insert_scan;
 use rescue_netlist::{Fault, Levelized, Netlist, PatternBlock};
@@ -64,11 +69,14 @@ pub enum OracleKind {
     /// Static redundancy proofs vs. a deep PODEM search: proven faults
     /// must be `Untestable`, never testable or aborted.
     Redundancy,
+    /// Event-driven PODEM vs. the naive full-sweep reference: the same
+    /// result and search trajectory for every targetable fault.
+    Podem,
 }
 
 impl OracleKind {
     /// All oracles, in run order.
-    pub const ALL: [OracleKind; 8] = [
+    pub const ALL: [OracleKind; 9] = [
         OracleKind::Engines,
         OracleKind::Shards,
         OracleKind::Wide,
@@ -77,6 +85,7 @@ impl OracleKind {
         OracleKind::Collapse,
         OracleKind::Lint,
         OracleKind::Redundancy,
+        OracleKind::Podem,
     ];
 
     /// Stable name used in repro files and metrics keys.
@@ -90,6 +99,7 @@ impl OracleKind {
             OracleKind::Collapse => "collapse",
             OracleKind::Lint => "lint",
             OracleKind::Redundancy => "redundancy",
+            OracleKind::Podem => "podem",
         }
     }
 
@@ -104,6 +114,7 @@ impl OracleKind {
             "collapse" => OracleKind::Collapse,
             "lint" => OracleKind::Lint,
             "redundancy" => OracleKind::Redundancy,
+            "podem" => OracleKind::Podem,
             other => return Err(format!("unknown oracle: {other}")),
         })
     }
@@ -120,6 +131,7 @@ impl OracleKind {
             OracleKind::Collapse => collapse(case),
             OracleKind::Lint => lint_clean(case),
             OracleKind::Redundancy => redundancy(case),
+            OracleKind::Podem => podem(case),
         }
     }
 }
@@ -545,6 +557,46 @@ pub fn redundancy(case: &CaseIr) -> Result<(), String> {
     Ok(())
 }
 
+/// Oracle (i): the event-driven production PODEM against the naive
+/// full-sweep reference. For every collapsed, non-chain fault of the
+/// scanned case both engines must return the same result (the same
+/// cube, `Untestable` or `Aborted`) after the same number of decisions
+/// and backtracks.
+pub fn podem(case: &CaseIr) -> Result<(), String> {
+    let netlist = case.build()?;
+    let scanned = insert_scan(&netlist).map_err(|e| format!("insert_scan: {e}"))?;
+    let atpg = Atpg::new(&scanned, AtpgConfig::default()).map_err(|e| format!("Atpg::new: {e}"))?;
+    let constraints = atpg.capture_constraints();
+    let config = PodemConfig::default();
+    let fast = Podem::new(&scanned.netlist, constraints.clone(), config);
+    let naive = NaivePodem::new(&scanned.netlist, constraints, config);
+    let steps = |s: &PodemStats| (s.decisions.get(), s.backtracks.get());
+    for fault in scanned.netlist.collapse_faults() {
+        if atpg.is_chain_fault(fault) {
+            continue;
+        }
+        let (fast0, naive0) = (steps(fast.stats()), steps(naive.stats()));
+        let got = fast.generate(fault);
+        let want = naive.generate(fault);
+        if got != want {
+            return Err(format!(
+                "fault {fault}: event-driven PODEM returned {got:?}, full-sweep reference {want:?}"
+            ));
+        }
+        let (fast1, naive1) = (steps(fast.stats()), steps(naive.stats()));
+        let got = (fast1.0 - fast0.0, fast1.1 - fast0.1);
+        let want = (naive1.0 - naive0.0, naive1.1 - naive0.1);
+        if got != want {
+            return Err(format!(
+                "fault {fault}: event-driven PODEM took {} decisions / {} backtracks, \
+                 full-sweep reference {} / {}",
+                got.0, got.1, want.0, want.1
+            ));
+        }
+    }
+    Ok(())
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -568,10 +620,12 @@ mod tests {
         dropping(&case).unwrap();
         lint_clean(&case).unwrap();
         redundancy(&case).unwrap();
+        podem(&case).unwrap();
         let small = generate(1, 0, &GenConfig::small());
         collapse(&small).unwrap();
         lint_clean(&small).unwrap();
         redundancy(&small).unwrap();
+        podem(&small).unwrap();
     }
 
     #[test]
