@@ -22,12 +22,6 @@ pub enum AtpgError {
         /// Lanes that came back.
         lanes: usize,
     },
-    /// `AtpgConfig::lane_words` is not one of the supported lane-block
-    /// widths (1, 4 or 8 words, i.e. 64/256/512 patterns per pass).
-    UnsupportedLaneWidth {
-        /// The requested width in 64-pattern words.
-        lane_words: usize,
-    },
 }
 
 impl fmt::Display for AtpgError {
@@ -38,12 +32,6 @@ impl fmt::Display for AtpgError {
                 write!(
                     f,
                     "fault-simulation reduction returned {lanes} lanes for {faults} faults"
-                )
-            }
-            AtpgError::UnsupportedLaneWidth { lane_words } => {
-                write!(
-                    f,
-                    "unsupported lane width {lane_words} (supported: 1, 4 or 8 words)"
                 )
             }
         }

@@ -13,17 +13,15 @@
 //! both stream; public APIs taking [`rescue_netlist::NetId`] or
 //! [`Fault`] translate at the boundary.
 //!
-//! Events are ordered by logic level; because a gate only ever
-//! schedules consumers at strictly higher levels, the default queue is
-//! a **level-indexed bucket array** ([`Kernel::Bucket`]) with O(1)
-//! push/pop — no heap rebalancing per event. The original binary-heap
-//! ordering survives as [`Kernel::Heap`] for the `fsim-kernel`
-//! microbench. [`Kernel::Ppsfp`] drops the per-net epoch overlay: the
-//! faulty array starts as a full copy of the good values, the inner
-//! loop reads it directly (no branch per pin), and a touched-net undo
-//! list restores the copy after each fault. All three kernels evaluate
-//! exactly the same gate set for a given fault, so every counter and
-//! detection result is kernel-independent.
+//! The faulty array starts each block as a full copy of the good
+//! values, so the inner loop reads it directly (no branch per pin), and
+//! a touched-net undo list restores the copy after each fault. Events
+//! are ordered by logic level; because a gate only ever schedules
+//! consumers at strictly higher levels, the queue is a
+//! **level-indexed bucket array** with O(1) push/pop and a single
+//! ascending sweep drains it. The naive full re-simulation
+//! ([`Netlist::simulate_faulty`]) is the reference this kernel is
+//! tested and fuzzed against.
 //!
 //! All per-fault scratch (the input buffer, the touched-net list, the
 //! queues) lives in the `FaultSim` and is reused across calls; a
@@ -31,8 +29,6 @@
 
 use rescue_netlist::{Fault, FaultSite, Levelized, Netlist, PatternBlock, WideBlock};
 use rescue_obs::metrics::{Counter, Gauge};
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
 
 /// Where a fault effect was observed.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -42,25 +38,6 @@ pub enum Observation {
     ScanCell(usize),
     /// Visible at the primary output with this index.
     PrimaryOutput(usize),
-}
-
-/// Event-queue discipline for the propagation loop. All kernels produce
-/// identical results and identical `gate_evals` counts; they differ only
-/// in queue/overlay cost per event.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum Kernel {
-    /// Level-indexed bucket queues over an epoch-tagged faulty overlay:
-    /// O(1) push/pop. The default.
-    #[default]
-    Bucket,
-    /// Binary heap ordered by (level, position): O(log n) per event.
-    /// Kept as the microbench reference point.
-    Heap,
-    /// Bucket queues over a *full* faulty copy with an undo list: the
-    /// inner loop reads faulty values unconditionally (no epoch branch
-    /// per pin) and the touched list restores `faulty = good` after
-    /// each fault.
-    Ppsfp,
 }
 
 /// Live counters for one fault simulator, aggregated across blocks.
@@ -77,8 +54,7 @@ pub struct FsimStats {
     /// fault-simulation work). One wide eval counts once: at `W = 8` a
     /// single eval covers 512 patterns.
     pub gate_evals: Counter,
-    /// Events pushed onto the propagation queue (queue pressure; equal
-    /// for all kernels on the same fault set).
+    /// Events pushed onto the propagation queue (queue pressure).
     pub events_queued: Counter,
     /// High-water mark of pending propagation events at any instant.
     pub queue_peak: Gauge,
@@ -164,29 +140,26 @@ impl FaultView {
 /// order, so lane indices are stable across widths.
 ///
 /// Build with [`FaultSim::new`] (owns its levelized view),
-/// [`FaultSim::with_levelized`] / [`FaultSim::with_kernel`] (borrow one
-/// shared across workers), or [`FaultSim::wide`] for `W > 1`.
+/// [`FaultSim::with_levelized`] (borrows one shared across workers), or
+/// [`FaultSim::wide`] for `W > 1`.
 #[derive(Debug)]
 pub struct FaultSim<'a, const W: usize = 1> {
     lev: LevHandle<'a>,
-    kernel: Kernel,
     /// Good-machine values for the current block, internal net order.
     good: Vec<[u64; W]>,
-    /// Faulty values: an epoch-tagged overlay (Bucket/Heap, valid where
-    /// `touched_epoch == epoch`) or a full copy of `good` (Ppsfp).
+    /// Faulty values: a full copy of `good`, restored after each fault
+    /// from the `touched` undo list.
     faulty: Vec<[u64; W]>,
+    /// Per net: epoch when last added to `touched`.
     touched_epoch: Vec<u32>,
-    /// Nets touched by the current run (indices into `faulty`), so
-    /// observation collection never scans the full net array — and the
-    /// Ppsfp kernel's undo list.
+    /// Nets the current fault wrote (indices into `faulty`): the undo
+    /// list, and the only nets observation collection has to scan.
     touched: Vec<u32>,
     epoch: u32,
     /// Per packed gate position: epoch when last queued.
     queued: Vec<u32>,
-    /// One event bucket per logic level (bucket/ppsfp kernels).
+    /// One event bucket per logic level.
     buckets: Vec<Vec<u32>>,
-    /// (level, position) heap (heap kernel).
-    heap: BinaryHeap<Reverse<(u32, u32)>>,
     /// Reusable gate-input scratch.
     in_buf: Vec<[u64; W]>,
     /// Non-replicated words of the loaded lane block (`1..=W`).
@@ -199,23 +172,14 @@ impl FaultSim<'static> {
     /// view. Prefer [`FaultSim::with_levelized`] when several simulators
     /// share one netlist.
     pub fn new(netlist: &Netlist) -> Self {
-        Self::from_handle(
-            LevHandle::Owned(Box::new(Levelized::new(netlist))),
-            Kernel::default(),
-        )
+        Self::from_handle(LevHandle::Owned(Box::new(Levelized::new(netlist))))
     }
 }
 
 impl<'a> FaultSim<'a> {
     /// Create a simulator over a shared levelized view.
     pub fn with_levelized(lev: &'a Levelized) -> Self {
-        Self::from_handle(LevHandle::Shared(lev), Kernel::default())
-    }
-
-    /// Like [`FaultSim::with_levelized`] with an explicit event-queue
-    /// kernel (microbench use).
-    pub fn with_kernel(lev: &'a Levelized, kernel: Kernel) -> Self {
-        Self::from_handle(LevHandle::Shared(lev), kernel)
+        Self::from_handle(LevHandle::Shared(lev))
     }
 
     /// Load a pattern block: runs the good-machine simulation.
@@ -246,21 +210,19 @@ impl<'a> FaultSim<'a> {
 }
 
 impl<'a, const W: usize> FaultSim<'a, W> {
-    /// Create a `W`-word-wide simulator over a shared levelized view
-    /// with an explicit kernel, e.g. `FaultSim::<8>::wide(&lev,
-    /// Kernel::Ppsfp)` for 512 patterns per pass.
-    pub fn wide(lev: &'a Levelized, kernel: Kernel) -> Self {
-        Self::from_handle(LevHandle::Shared(lev), kernel)
+    /// Create a `W`-word-wide simulator over a shared levelized view,
+    /// e.g. `FaultSim::<8>::wide(&lev)` for 512 patterns per pass.
+    pub fn wide(lev: &'a Levelized) -> Self {
+        Self::from_handle(LevHandle::Shared(lev))
     }
 
-    fn from_handle(lev: LevHandle<'a>, kernel: Kernel) -> Self {
+    fn from_handle(lev: LevHandle<'a>) -> Self {
         let l = lev.get();
         let n = l.num_nets();
         let num_gates = l.num_gates();
         let num_levels = l.num_levels() as usize;
         let max_fanin = l.max_fanin();
         FaultSim {
-            kernel,
             good: vec![[0; W]; n],
             faulty: vec![[0; W]; n],
             touched_epoch: vec![0; n],
@@ -268,7 +230,6 @@ impl<'a, const W: usize> FaultSim<'a, W> {
             epoch: 0,
             queued: vec![0; num_gates],
             buckets: vec![Vec::new(); num_levels],
-            heap: BinaryHeap::new(),
             in_buf: Vec::with_capacity(max_fanin),
             loaded_words: 1,
             stats: FsimStats::default(),
@@ -281,30 +242,19 @@ impl<'a, const W: usize> FaultSim<'a, W> {
         &self.stats
     }
 
-    /// The event-queue kernel in use.
-    pub fn kernel(&self) -> Kernel {
-        self.kernel
-    }
-
     /// Number of non-replicated 64-pattern words in the loaded block.
     pub fn loaded_words(&self) -> usize {
         self.loaded_words
     }
 
     /// Load a lane block: runs the good-machine simulation for all
-    /// `W * 64` patterns in one sweep.
+    /// `W * 64` patterns in one sweep and resets the faulty copy.
     pub fn load_wide(&mut self, wide: &WideBlock<W>) {
-        // PPSFP phase attribution: the full-block good sweep (plus the
-        // faulty-copy reset) vs. per-fault propagation vs. undo.
-        let _prof =
-            (self.kernel == Kernel::Ppsfp).then(|| rescue_obs::profile::scope("ppsfp_good_sweep"));
         self.lev.get().eval_wide_into(wide, &mut self.good);
         self.loaded_words = wide.real_words;
-        if self.kernel == Kernel::Ppsfp {
-            // The PPSFP inner loop reads `faulty` unconditionally, so
-            // it must start as an exact copy of the good values.
-            self.faulty.copy_from_slice(&self.good);
-        }
+        // The inner loop reads `faulty` unconditionally, so it must
+        // start as an exact copy of the good values.
+        self.faulty.copy_from_slice(&self.good);
         self.stats.blocks_loaded.inc();
     }
 
@@ -388,33 +338,32 @@ impl<'a, const W: usize> FaultSim<'a, W> {
     fn run(&mut self, fault: Fault, mut on_observe: impl FnMut(Observation, [u64; W])) {
         self.stats.faults_simulated.inc();
         self.bump_epoch();
-        match self.kernel {
-            Kernel::Bucket => self.propagate_bucket::<false>(fault),
-            Kernel::Heap => self.propagate_heap(fault),
-            Kernel::Ppsfp => {
-                let _prof = rescue_obs::profile::scope("ppsfp_propagate");
-                self.propagate_bucket::<true>(fault);
-            }
-        }
+        self.propagate(fault);
+        let FaultSim {
+            lev,
+            good,
+            faulty,
+            touched,
+            ..
+        } = self;
+        let lev = lev.get();
         // Collect observations: any touched net with a difference that
         // feeds a flip-flop D or a primary output. A stem fault on a net
         // that directly feeds state/outputs but is driven by input/DFF is
-        // included because seeding marks the site touched.
-        let lev = self.lev.get();
-        for &net in &self.touched {
+        // included because seeding marks the site touched. Then undo:
+        // restore the full faulty copy for the next fault.
+        for &net in touched.iter() {
             let ni = net as usize;
             let mut diff = [0u64; W];
             let mut any = 0u64;
-            for (d, (f, g)) in diff
-                .iter_mut()
-                .zip(self.faulty[ni].iter().zip(&self.good[ni]))
-            {
+            for (d, (f, g)) in diff.iter_mut().zip(faulty[ni].iter().zip(&good[ni])) {
                 *d = f ^ g;
                 any |= *d;
             }
             if any == 0 {
                 continue;
             }
+            faulty[ni] = good[ni];
             for &d in lev.fanout_dffs(ni) {
                 on_observe(Observation::ScanCell(d as usize), diff);
             }
@@ -422,23 +371,9 @@ impl<'a, const W: usize> FaultSim<'a, W> {
                 on_observe(Observation::PrimaryOutput(o as usize), diff);
             }
         }
-        if self.kernel == Kernel::Ppsfp {
-            // Undo: restore the full faulty copy for the next fault.
-            let _prof = rescue_obs::profile::scope("ppsfp_undo");
-            let FaultSim {
-                touched,
-                good,
-                faulty,
-                ..
-            } = self;
-            for &net in touched.iter() {
-                let ni = net as usize;
-                faulty[ni] = good[ni];
-            }
-        }
     }
 
-    fn propagate_bucket<const PPSFP: bool>(&mut self, fault: Fault) {
+    fn propagate(&mut self, fault: Fault) {
         let FaultSim {
             lev,
             good,
@@ -464,10 +399,8 @@ impl<'a, const W: usize> FaultSim<'a, W> {
             FaultSite::Net(_) => {
                 let ni = fv.net;
                 faulty[ni] = fv.stuck_wide();
-                if touched_epoch[ni] != epoch {
-                    touched_epoch[ni] = epoch;
-                    touched.push(ni as u32);
-                }
+                touched_epoch[ni] = epoch;
+                touched.push(ni as u32);
                 if fv.stuck_wide() != good[ni] {
                     for &pos in lev.fanout(ni) {
                         if queued[pos as usize] != epoch {
@@ -509,11 +442,10 @@ impl<'a, const W: usize> FaultSim<'a, W> {
                 // bucket plus all higher levels), so the peak below is
                 // the exact queue high-water mark.
                 pending -= 1;
-                let out = eval_gate::<W, PPSFP>(
+                let out = eval_gate::<W>(
                     lev,
                     pos,
                     fv,
-                    good,
                     faulty,
                     touched_epoch,
                     touched,
@@ -540,99 +472,19 @@ impl<'a, const W: usize> FaultSim<'a, W> {
         stats.events_queued.add(pushes);
         stats.note_queue_peak(peak);
     }
-
-    fn propagate_heap(&mut self, fault: Fault) {
-        let FaultSim {
-            lev,
-            good,
-            faulty,
-            touched_epoch,
-            touched,
-            epoch,
-            queued,
-            heap,
-            in_buf,
-            stats,
-            ..
-        } = self;
-        let lev = lev.get();
-        let epoch = *epoch;
-        let fv = FaultView::new(lev, fault);
-
-        heap.clear();
-        match fault.site {
-            FaultSite::Net(_) => {
-                let ni = fv.net;
-                faulty[ni] = fv.stuck_wide();
-                if touched_epoch[ni] != epoch {
-                    touched_epoch[ni] = epoch;
-                    touched.push(ni as u32);
-                }
-                if fv.stuck_wide() != good[ni] {
-                    for &pos in lev.fanout(ni) {
-                        if queued[pos as usize] != epoch {
-                            queued[pos as usize] = epoch;
-                            heap.push(Reverse((lev.level(pos), pos)));
-                        }
-                    }
-                }
-            }
-            FaultSite::GateInput(g, _) => {
-                let pos = lev.pos_of(g);
-                queued[pos as usize] = epoch;
-                heap.push(Reverse((lev.level(pos), pos)));
-            }
-        }
-        let mut pushes = heap.len() as u64;
-        let mut peak = heap.len();
-
-        while let Some(Reverse((_, pos))) = heap.pop() {
-            let out = eval_gate::<W, false>(
-                lev,
-                pos,
-                fv,
-                good,
-                faulty,
-                touched_epoch,
-                touched,
-                epoch,
-                in_buf,
-                stats,
-            );
-            if let Some(out) = out {
-                for &cons in lev.fanout(out) {
-                    if queued[cons as usize] != epoch {
-                        queued[cons as usize] = epoch;
-                        heap.push(Reverse((lev.level(cons), cons)));
-                        pushes += 1;
-                    }
-                }
-                peak = peak.max(heap.len());
-            }
-        }
-        stats.events_queued.add(pushes);
-        stats.note_queue_peak(peak);
-    }
 }
 
 /// Re-evaluate the gate at packed position `pos` under the fault.
-/// Marks the output net touched; returns `Some(out_net)` when the
-/// change must be propagated to the net's consumers.
-///
-/// With `PPSFP = false` the faulty array is an epoch-tagged overlay:
-/// pins read `faulty` only where touched this epoch, and propagation
-/// re-derives "does the output differ" from `good`. With `PPSFP = true`
-/// the faulty array is a full copy kept exact by the undo list, so pins
-/// read it unconditionally and propagation is simply `v != prev` —
-/// equivalent because an untouched net has `faulty == good`. Both
-/// variants evaluate and queue exactly the same gates.
+/// Returns `Some(out_net)` (after marking it touched) when the output's
+/// faulty value changed and the change must be propagated to the net's
+/// consumers. `faulty` is a full copy kept exact by the undo list, so an
+/// untouched net holds its good value and pins read it unconditionally.
 #[allow(clippy::too_many_arguments)]
 #[inline]
-fn eval_gate<const W: usize, const PPSFP: bool>(
+fn eval_gate<const W: usize>(
     lev: &Levelized,
     pos: u32,
     fv: FaultView,
-    good: &[[u64; W]],
     faulty: &mut [[u64; W]],
     touched_epoch: &mut [u32],
     touched: &mut Vec<u32>,
@@ -642,14 +494,7 @@ fn eval_gate<const W: usize, const PPSFP: bool>(
 ) -> Option<usize> {
     stats.gate_evals.inc();
     in_buf.clear();
-    for &ni in lev.inputs(pos) {
-        let ni = ni as usize;
-        in_buf.push(if PPSFP || touched_epoch[ni] == epoch {
-            faulty[ni]
-        } else {
-            good[ni]
-        });
-    }
+    in_buf.extend(lev.inputs(pos).iter().map(|&ni| faulty[ni as usize]));
     if pos == fv.gpos {
         in_buf[fv.pin] = fv.stuck_wide();
     }
@@ -658,34 +503,15 @@ fn eval_gate<const W: usize, const PPSFP: bool>(
     if oi == fv.net {
         v = fv.stuck_wide();
     }
-    if PPSFP {
-        let prev = faulty[oi];
-        if v == prev {
-            return None;
-        }
-        if touched_epoch[oi] != epoch {
-            touched_epoch[oi] = epoch;
-            touched.push(oi as u32);
-        }
-        faulty[oi] = v;
-        Some(oi)
-    } else {
-        let was_touched = touched_epoch[oi] == epoch;
-        let prev = if was_touched { faulty[oi] } else { good[oi] };
-        if v == prev && was_touched {
-            return None;
-        }
-        faulty[oi] = v;
-        if !was_touched {
-            touched_epoch[oi] = epoch;
-            touched.push(oi as u32);
-        }
-        if v != good[oi] || prev != good[oi] {
-            Some(oi)
-        } else {
-            None
-        }
+    if v == faulty[oi] {
+        return None;
     }
+    if touched_epoch[oi] != epoch {
+        touched_epoch[oi] = epoch;
+        touched.push(oi as u32);
+    }
+    faulty[oi] = v;
+    Some(oi)
 }
 
 #[cfg(test)]
@@ -709,7 +535,7 @@ mod tests {
     }
 
     /// Cross-check the event-driven simulator against full faulty
-    /// re-simulation on a small circuit, under all three kernels.
+    /// re-simulation on a small circuit.
     #[test]
     fn event_driven_matches_full_resimulation() {
         let n = sample();
@@ -717,59 +543,22 @@ mod tests {
             inputs: vec![0b1100_1010, 0b1010_0110, 0b0110_0011],
             state: vec![0b0001_1000],
         };
-        let lev = rescue_netlist::Levelized::new(&n);
-        for kernel in [Kernel::Bucket, Kernel::Heap, Kernel::Ppsfp] {
-            let mut sim = FaultSim::with_kernel(&lev, kernel);
-            sim.load_block(&block);
-            for fault in n.enumerate_faults() {
-                let mask = sim.detect_mask(fault);
-                let full = n.simulate_faulty(&block, fault);
-                let good = n.simulate(&block);
-                let mut expect = 0u64;
-                for d in n.dffs() {
-                    expect |= full.nets[d.d().index()] ^ good.nets[d.d().index()];
-                }
-                for (_, net) in n.outputs() {
-                    expect |= full.nets[net.index()] ^ good.nets[net.index()];
-                }
-                assert_eq!(mask, expect, "fault {fault} under {kernel:?}");
-            }
-        }
-    }
-
-    /// All kernels must agree on every observation *and* on the
-    /// gate-eval count (they evaluate the same gate set).
-    #[test]
-    fn kernels_agree_including_eval_counts() {
-        let n = sample();
-        let block = PatternBlock {
-            inputs: vec![0xdead_beef, 0x0123_4567, 0xffff_0000],
-            state: vec![0xaaaa_5555],
-        };
-        let lev = rescue_netlist::Levelized::new(&n);
-        let mut bucket = FaultSim::with_kernel(&lev, Kernel::Bucket);
-        let mut heap = FaultSim::with_kernel(&lev, Kernel::Heap);
-        let mut ppsfp = FaultSim::with_kernel(&lev, Kernel::Ppsfp);
-        bucket.load_block(&block);
-        heap.load_block(&block);
-        ppsfp.load_block(&block);
+        let mut sim = FaultSim::new(&n);
+        sim.load_block(&block);
+        let good = n.simulate(&block);
         for fault in n.enumerate_faults() {
-            let want = bucket.observations(fault);
-            assert_eq!(want, heap.observations(fault), "fault {fault}");
-            assert_eq!(want, ppsfp.observations(fault), "fault {fault}");
+            let mask = sim.detect_mask(fault);
+            let full = n.simulate_faulty(&block, fault);
+            let mut expect = 0u64;
+            for d in n.dffs() {
+                expect |= full.nets[d.d().index()] ^ good.nets[d.d().index()];
+            }
+            for (_, net) in n.outputs() {
+                expect |= full.nets[net.index()] ^ good.nets[net.index()];
+            }
+            assert_eq!(mask, expect, "fault {fault}");
         }
-        for other in [&heap, &ppsfp] {
-            assert_eq!(
-                bucket.stats().gate_evals.get(),
-                other.stats().gate_evals.get()
-            );
-            // Same dedup discipline → all kernels push the same events.
-            assert_eq!(
-                bucket.stats().events_queued.get(),
-                other.stats().events_queued.get()
-            );
-            assert!(other.stats().queue_peak.get() > 0);
-        }
+        assert!(sim.stats().queue_peak.get() > 0);
     }
 
     /// The PPSFP undo list must leave `faulty == good` after every
@@ -783,7 +572,7 @@ mod tests {
             state: vec![0xaaaa_5555],
         };
         let lev = rescue_netlist::Levelized::new(&n);
-        let mut sim = FaultSim::with_kernel(&lev, Kernel::Ppsfp);
+        let mut sim = FaultSim::with_levelized(&lev);
         sim.load_block(&block);
         let faults = n.enumerate_faults();
         let first: Vec<u64> = faults.iter().map(|&f| sim.detect_mask(f)).collect();
@@ -826,29 +615,23 @@ mod tests {
                     .collect()
             })
             .collect();
-        for kernel in [Kernel::Bucket, Kernel::Heap, Kernel::Ppsfp] {
-            let mut sim4 = FaultSim::<4>::wide(&lev, kernel);
-            sim4.load_blocks(&blocks);
-            assert_eq!(sim4.loaded_words(), 3);
-            for (fi, fault) in n.enumerate_faults().into_iter().enumerate() {
-                let wide = sim4.detect_mask_wide(fault);
-                for word in 0..4 {
-                    // Word 3 is padding that replicates block 2.
-                    let want = per_block[word.min(2)][fi];
-                    assert_eq!(wide[word], want, "fault {fault} word {word} {kernel:?}");
-                }
-                let want_lane = (0..3).find_map(|w| {
-                    let m = per_block[w][fi];
-                    (m != 0).then(|| w as u32 * 64 + m.trailing_zeros())
-                });
-                assert_eq!(
-                    sim4.first_detecting_lane(fault),
-                    want_lane,
-                    "fault {fault} {kernel:?}"
-                );
-                let want_count: u32 = (0..3).map(|w| per_block[w][fi].count_ones()).sum();
-                assert_eq!(sim4.detecting_lane_count(fault), want_count);
+        let mut sim4 = FaultSim::<4>::wide(&lev);
+        sim4.load_blocks(&blocks);
+        assert_eq!(sim4.loaded_words(), 3);
+        for (fi, fault) in n.enumerate_faults().into_iter().enumerate() {
+            let wide = sim4.detect_mask_wide(fault);
+            for word in 0..4 {
+                // Word 3 is padding that replicates block 2.
+                let want = per_block[word.min(2)][fi];
+                assert_eq!(wide[word], want, "fault {fault} word {word}");
             }
+            let want_lane = (0..3).find_map(|w| {
+                let m = per_block[w][fi];
+                (m != 0).then(|| w as u32 * 64 + m.trailing_zeros())
+            });
+            assert_eq!(sim4.first_detecting_lane(fault), want_lane, "fault {fault}");
+            let want_count: u32 = (0..3).map(|w| per_block[w][fi].count_ones()).sum();
+            assert_eq!(sim4.detecting_lane_count(fault), want_count);
         }
     }
 

@@ -128,23 +128,33 @@ impl<'a> Isolator<'a> {
     /// outcome.
     pub fn isolate(&self, fault: Fault) -> IsolationOutcome {
         let mut sim = FaultSim::with_levelized(&self.lev);
-        self.isolate_with(&mut sim, fault)
+        let mut out = self.isolate_shard(&mut sim, &[fault]);
+        out.pop().expect("one outcome per fault")
     }
 
-    /// Isolate one fault on a caller-provided simulator (lets workers
-    /// reuse their simulator across many faults).
-    fn isolate_with(&self, sim: &mut FaultSim, fault: Fault) -> IsolationOutcome {
-        let mut failing: Vec<Observation> = Vec::new();
+    /// Isolate a shard of faults on one simulator, block-major: each
+    /// vector block is loaded (good sweep plus faulty-copy reset) once,
+    /// then every fault of the shard collects its failing observations
+    /// under it.
+    fn isolate_shard(&self, sim: &mut FaultSim, faults: &[Fault]) -> Vec<IsolationOutcome> {
+        let mut failing: Vec<Vec<Observation>> = vec![Vec::new(); faults.len()];
         for block in &self.blocks {
             sim.load_block(block);
-            for (obs, _mask) in sim.observations(fault) {
-                if !failing.contains(&obs) {
-                    failing.push(obs);
+            for (seen, &fault) in failing.iter_mut().zip(faults) {
+                for (obs, _mask) in sim.observations(fault) {
+                    if !seen.contains(&obs) {
+                        seen.push(obs);
+                    }
                 }
             }
         }
-        failing.sort();
-        self.outcome_from_failures(failing)
+        failing
+            .into_iter()
+            .map(|mut f| {
+                f.sort();
+                self.outcome_from_failures(f)
+            })
+            .collect()
     }
 
     /// Isolate many faults, sharded over `threads` workers (resolved via
@@ -158,10 +168,7 @@ impl<'a> Isolator<'a> {
         if workers == 1 {
             let _span = rescue_obs::span("isolation.worker");
             let mut sim = FaultSim::with_levelized(&self.lev);
-            return faults
-                .iter()
-                .map(|&f| self.isolate_with(&mut sim, f))
-                .collect();
+            return self.isolate_shard(&mut sim, faults);
         }
         let chunk = faults.len().div_ceil(workers);
         let mut out: Vec<IsolationOutcome> = Vec::with_capacity(faults.len());
@@ -172,10 +179,7 @@ impl<'a> Isolator<'a> {
                     s.spawn(move || {
                         let _span = rescue_obs::span("isolation.worker");
                         let mut sim = FaultSim::with_levelized(&self.lev);
-                        shard
-                            .iter()
-                            .map(|&f| self.isolate_with(&mut sim, f))
-                            .collect::<Vec<_>>()
+                        self.isolate_shard(&mut sim, shard)
                     })
                 })
                 .collect();

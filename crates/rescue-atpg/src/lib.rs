@@ -51,7 +51,7 @@ mod tpg;
 
 pub use chain::{chain_flush_test, flush_pattern, ChainTestResult};
 pub use error::AtpgError;
-pub use fsim::{FaultSim, FsimStats, Kernel, Observation};
+pub use fsim::{FaultSim, FsimStats, Observation};
 pub use isolation::{IsolationOutcome, Isolator};
 pub use parallel::{resolve_threads, FaultShards, FsimParallel, LaneShards};
 pub use podem::{Podem, PodemConfig, PodemResult, PodemStats, TestCube};

@@ -15,16 +15,17 @@
 //! The same invariance holds across lane widths: a worker pool is
 //! `FaultShards<'a, W>` for `W` ∈ {1, 4, 8} (64/256/512 patterns per
 //! pass), and [`LaneShards`] wraps the three monomorphizations behind a
-//! runtime `lane_words` knob for the ATPG loop. Lanes are numbered
-//! `word * 64 + bit` in vector order, so detection provenance is
-//! width-independent.
+//! runtime width for callers that pick it per request (the serve `fsim`
+//! job). The ATPG loop flushes one 64-pattern block at a time and holds
+//! a width-1 pool directly. Lanes are numbered `word * 64 + bit` in
+//! vector order, so detection provenance is width-independent.
 //!
 //! Workers are plain `std::thread::scope` threads (no external deps);
 //! each opens a `fsim.worker` span so the Perfetto export shows one
 //! track per worker, and per-worker busy time is accumulated for the
 //! utilization report.
 
-use crate::fsim::{FaultSim, Kernel};
+use crate::fsim::FaultSim;
 use rescue_netlist::{Fault, Levelized, PatternBlock, WideBlock};
 use rescue_obs::live::LiveCounter;
 use std::time::Instant;
@@ -135,9 +136,9 @@ pub struct FaultShards<'a, const W: usize = 1> {
 
 impl<'a> FaultShards<'a> {
     /// Create `threads` workers (at least 1) over a shared view, with
-    /// the default 64-pattern width and kernel.
+    /// the default 64-pattern width.
     pub fn new(lev: &'a Levelized, threads: usize) -> Self {
-        Self::wide(lev, threads, Kernel::default())
+        Self::wide(lev, threads)
     }
 
     /// First detecting lane per fault under `block`, in `faults` order.
@@ -147,15 +148,22 @@ impl<'a> FaultShards<'a> {
         let wide = WideBlock::<1>::from_blocks(std::slice::from_ref(block));
         self.detect_lanes_wide(&wide, faults)
     }
+
+    /// Number of distinct patterns in `block` detecting each fault, in
+    /// `faults` order (n-detect bookkeeping for fault dropping).
+    pub fn detect_counts(&mut self, block: &PatternBlock, faults: &[Fault]) -> Vec<u32> {
+        let wide = WideBlock::<1>::from_blocks(std::slice::from_ref(block));
+        self.map_faults(&wide, faults, |sim, f| sim.detecting_lane_count(f))
+    }
 }
 
 impl<'a, const W: usize> FaultShards<'a, W> {
     /// Create `threads` workers (at least 1) of width `W` over a shared
-    /// view, all using `kernel`.
-    pub fn wide(lev: &'a Levelized, threads: usize, kernel: Kernel) -> Self {
+    /// view.
+    pub fn wide(lev: &'a Levelized, threads: usize) -> Self {
         let threads = threads.max(1);
         FaultShards {
-            sims: (0..threads).map(|_| FaultSim::wide(lev, kernel)).collect(),
+            sims: (0..threads).map(|_| FaultSim::wide(lev)).collect(),
             busy_ns: vec![0; threads],
             wall_ns: 0,
         }
@@ -186,13 +194,6 @@ impl<'a, const W: usize> FaultShards<'a, W> {
     /// order (lane = `word * 64 + bit`, stable across widths).
     pub fn detect_lanes_wide(&mut self, wide: &WideBlock<W>, faults: &[Fault]) -> Vec<Option<u32>> {
         self.map_faults(wide, faults, |sim, f| sim.first_detecting_lane(f))
-    }
-
-    /// Number of distinct real patterns in the lane block detecting each
-    /// fault, in `faults` order (n-detect bookkeeping for fault
-    /// dropping).
-    pub fn detect_counts_wide(&mut self, wide: &WideBlock<W>, faults: &[Fault]) -> Vec<u32> {
-        self.map_faults(wide, faults, |sim, f| sim.detecting_lane_count(f))
     }
 
     /// Shard `faults` over the workers, apply `op` per fault against the
@@ -266,12 +267,11 @@ impl<'a, const W: usize> FaultShards<'a, W> {
 }
 
 /// Runtime lane-width dispatch over the three [`FaultShards`]
-/// monomorphizations, so the ATPG loop can take `lane_words` as a plain
-/// config knob. Width 1 keeps the default bucket kernel (the historical
-/// configuration); the wide variants use [`Kernel::Ppsfp`], whose full
-/// faulty copy amortizes best when each propagation carries hundreds of
-/// patterns. All kernels produce identical detections and counters, so
-/// the choice only affects wall-clock time.
+/// monomorphizations, for callers that take the width as a plain
+/// request field (the serve `fsim` job's `lane_words`). Every width
+/// yields the same first-detecting lanes; wider lanes only change
+/// wall-clock time and the eval count (one wide eval covers `W * 64`
+/// patterns).
 #[derive(Debug)]
 pub enum LaneShards<'a> {
     /// 64 patterns per pass (`[u64; 1]` lanes).
@@ -288,35 +288,9 @@ impl<'a> LaneShards<'a> {
     pub fn new(lev: &'a Levelized, threads: usize, lane_words: usize) -> Option<Self> {
         match lane_words {
             1 => Some(LaneShards::W1(FaultShards::new(lev, threads))),
-            4 => Some(LaneShards::W4(FaultShards::wide(
-                lev,
-                threads,
-                Kernel::Ppsfp,
-            ))),
-            8 => Some(LaneShards::W8(FaultShards::wide(
-                lev,
-                threads,
-                Kernel::Ppsfp,
-            ))),
+            4 => Some(LaneShards::W4(FaultShards::wide(lev, threads))),
+            8 => Some(LaneShards::W8(FaultShards::wide(lev, threads))),
             _ => None,
-        }
-    }
-
-    /// The lane width in 64-pattern words.
-    pub fn lane_words(&self) -> usize {
-        match self {
-            LaneShards::W1(_) => 1,
-            LaneShards::W4(_) => 4,
-            LaneShards::W8(_) => 8,
-        }
-    }
-
-    /// Configured worker count.
-    pub fn threads(&self) -> usize {
-        match self {
-            LaneShards::W1(s) => s.threads(),
-            LaneShards::W4(s) => s.threads(),
-            LaneShards::W8(s) => s.threads(),
         }
     }
 
@@ -326,15 +300,6 @@ impl<'a> LaneShards<'a> {
             LaneShards::W1(s) => s.gate_evals(),
             LaneShards::W4(s) => s.gate_evals(),
             LaneShards::W8(s) => s.gate_evals(),
-        }
-    }
-
-    /// Utilization snapshot accumulated across all sharded calls.
-    pub fn parallel_stats(&self) -> FsimParallel {
-        match self {
-            LaneShards::W1(s) => s.parallel_stats(),
-            LaneShards::W4(s) => s.parallel_stats(),
-            LaneShards::W8(s) => s.parallel_stats(),
         }
     }
 
@@ -351,16 +316,6 @@ impl<'a> LaneShards<'a> {
             LaneShards::W1(s) => s.detect_lanes_wide(&WideBlock::from_blocks(blocks), faults),
             LaneShards::W4(s) => s.detect_lanes_wide(&WideBlock::from_blocks(blocks), faults),
             LaneShards::W8(s) => s.detect_lanes_wide(&WideBlock::from_blocks(blocks), faults),
-        }
-    }
-
-    /// Distinct real detecting-pattern count per fault for a group of
-    /// blocks (n-detect bookkeeping; padding excluded).
-    pub fn detect_counts_group(&mut self, blocks: &[PatternBlock], faults: &[Fault]) -> Vec<u32> {
-        match self {
-            LaneShards::W1(s) => s.detect_counts_wide(&WideBlock::from_blocks(blocks), faults),
-            LaneShards::W4(s) => s.detect_counts_wide(&WideBlock::from_blocks(blocks), faults),
-            LaneShards::W8(s) => s.detect_counts_wide(&WideBlock::from_blocks(blocks), faults),
         }
     }
 }

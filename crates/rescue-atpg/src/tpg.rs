@@ -1,7 +1,7 @@
 //! The top-level ATPG flow and the scan-test statistics of Table 3.
 
 use crate::error::AtpgError;
-use crate::parallel::{resolve_threads, FsimParallel, LaneShards};
+use crate::parallel::{resolve_threads, FaultShards, FsimParallel};
 use crate::podem::{Podem, PodemConfig, PodemResult, TestCube};
 use crate::threeval::V3;
 use rescue_netlist::{Driver, Fault, FaultSite, Levelized, PatternBlock, ScanNetlist};
@@ -54,18 +54,6 @@ pub struct AtpgConfig {
     /// coverage curve, all counters — is bit-identical for any value;
     /// only wall-clock changes (see [`crate::parallel`]).
     pub threads: usize,
-    /// Fault-simulation lane width in 64-pattern words: 1 (the
-    /// default) runs the classic `Kernel::Bucket` engine, while 4 and
-    /// 8 route each pattern block through the wide PPSFP kernel
-    /// ([`crate::parallel::LaneShards`]). Like `threads`, this is a
-    /// datapath knob, not a semantic one: lanes are numbered
-    /// `word * 64 + bit` in vector order and the flush cadence stays
-    /// at 64 cubes, so fault classes, vectors, the coverage curve and
-    /// the deterministic counters are bit-identical for any supported
-    /// value. (The multi-block throughput of the wide kernels is
-    /// measured by the `fsim_kernel` bench matrix, which feeds them
-    /// full 4/8-block groups.)
-    pub lane_words: usize,
     /// Static redundancy pre-pass: before the PODEM loop, build the
     /// implication engine ([`rescue_lint::ImplicationEngine`]) under
     /// the capture constraints and prove what faults it can untestable
@@ -88,7 +76,7 @@ pub struct AtpgConfig {
     pub static_prepass: bool,
     /// n-detect fault dropping: when `Some(n)` with `n > 1`, faults
     /// stay on a watch list after their first detection and keep being
-    /// simulated against subsequent pattern groups until they have been
+    /// simulated against subsequent pattern blocks until they have been
     /// detected by at least `n` distinct patterns, then retire. The
     /// watch list is separate from PODEM targeting, so classifications,
     /// vectors, and coverage provenance are bit-identical whether this
@@ -107,7 +95,6 @@ impl Default for AtpgConfig {
             merge_cubes: true,
             merge_window: 6,
             threads: 0,
-            lane_words: 1,
             static_prepass: false,
             drop_after: None,
         }
@@ -179,8 +166,7 @@ pub struct AtpgCounts {
     pub patterns_simulated: u64,
     /// Faults dropped by fault simulation rather than targeted by PODEM.
     pub faults_dropped_by_sim: u64,
-    /// Distribution of faults dropped per simulated lane-block group
-    /// (per 64-pattern block at the default `lane_words = 1`).
+    /// Distribution of faults dropped per simulated 64-pattern block.
     pub drops_per_block: HistogramSnapshot,
     /// Gate re-evaluations inside the fault simulator, including any
     /// n-detect watch passes.
@@ -387,9 +373,7 @@ impl<'a> Atpg<'a> {
     ///
     /// # Errors
     ///
-    /// Returns [`AtpgError::UnsupportedLaneWidth`] if
-    /// [`AtpgConfig::lane_words`] is not 1, 4 or 8, and
-    /// [`AtpgError::LaneCountMismatch`] if the parallel
+    /// Returns [`AtpgError::LaneCountMismatch`] if the parallel
     /// fault-simulation reduction ever returns a lane count that does
     /// not match the fault list it was given (a broken invariant that
     /// would otherwise misclassify faults silently).
@@ -465,9 +449,7 @@ impl<'a> Atpg<'a> {
 
         let podem = Podem::with_levelized(n, lev, constraints, self.config.podem);
 
-        let lane_words = self.config.lane_words;
-        let mut shards = LaneShards::new(lev, resolve_threads(self.config.threads), lane_words)
-            .ok_or(AtpgError::UnsupportedLaneWidth { lane_words })?;
+        let mut shards = FaultShards::new(lev, resolve_threads(self.config.threads));
         counts.ndetect_target = u64::from(self.config.drop_after.unwrap_or(0));
         // n ≤ 1 is a no-op: the main loop already drops on first detect.
         let ndetect = self.config.drop_after.filter(|&n| n > 1);
@@ -495,7 +477,7 @@ impl<'a> Atpg<'a> {
                      remaining: &mut Vec<Fault>,
                      classes: &mut HashMap<Fault, FaultClass>,
                      rng: &mut SplitMix64,
-                     shards: &mut LaneShards,
+                     shards: &mut FaultShards,
                      watch: &mut Vec<(Fault, u32)>,
                      counts: &mut AtpgCounts,
                      timing: &mut AtpgTiming,
@@ -517,65 +499,61 @@ impl<'a> Atpg<'a> {
             timing.fill_ns += t.elapsed().as_nanos() as u64;
             counts.patterns_simulated += filled.len() as u64;
             let blocks = vectors_to_blocks(&filled, self.scanned);
+            assert_eq!(blocks.len(), 1, "a flush holds 1..=64 cubes: one block");
+            let block = &blocks[0];
             let t = Instant::now();
             let prof_fsim = rescue_obs::profile::scope("fsim");
-            for (group_idx, group) in blocks.chunks(lane_words).enumerate() {
-                // Lanes are numbered word * 64 + bit within a group, so
-                // a detection's global vector index is width-invariant.
-                let group_base = base + (group_idx * lane_words * 64) as u64;
-                let before = remaining.len();
-                // One lane per remaining fault, computed by the worker
-                // pool in canonical fault order; applying them in that
-                // same order reproduces the sequential drop sequence
-                // exactly.
-                let lanes = shards.detect_lanes_group(group, remaining);
-                apply_detect_lanes(&lanes, remaining, |f, lane| {
-                    classes.insert(f, FaultClass::Detected);
-                    let label = label_of(recorder, f);
-                    recorder.detect(group_base + u64::from(lane), label);
-                    if ndetect.is_some() {
-                        watch.push((f, 0));
-                    }
-                })?;
-                let dropped = (before - remaining.len()) as u64;
-                counts.blocks_flushed += group.len() as u64;
-                counts.faults_dropped_by_sim += dropped;
-                counts.drops_per_block.record(dropped);
-                if let Some(n) = ndetect {
-                    if !watch.is_empty() {
-                        // Count distinct detecting patterns for watched
-                        // faults against this same group (so the group
-                        // that first detected a fault contributes ≥ 1),
-                        // then retire the ones that reached the target.
-                        let wf: Vec<Fault> = watch.iter().map(|&(f, _)| f).collect();
-                        let detections = shards.detect_counts_group(group, &wf);
-                        for ((_, c), add) in watch.iter_mut().zip(&detections) {
-                            *c += *add;
-                            counts.ndetect_detections += u64::from(*add);
-                        }
-                        watch.retain(|&(_, c)| {
-                            if c >= n {
-                                counts.ndetect_retired += 1;
-                                false
-                            } else {
-                                true
-                            }
-                        });
-                    }
+            let before = remaining.len();
+            // One lane per remaining fault, computed by the worker pool
+            // in canonical fault order; applying them in that same order
+            // reproduces the sequential drop sequence exactly.
+            let lanes = shards.detect_lanes(block, remaining);
+            apply_detect_lanes(&lanes, remaining, |f, lane| {
+                classes.insert(f, FaultClass::Detected);
+                let label = label_of(recorder, f);
+                recorder.detect(base + u64::from(lane), label);
+                if ndetect.is_some() {
+                    watch.push((f, 0));
                 }
-                let hub = rescue_obs::live::global();
-                hub.record(rescue_obs::LiveCounter::AtpgFaultsClassified, dropped);
-                hub.record(rescue_obs::LiveCounter::AtpgFaultsDetected, dropped);
-                rescue_obs::counter("atpg.detected", recorder.detected_so_far() as f64);
-                rescue_obs::counter(
-                    "atpg.coverage_so_far",
-                    if targetable_initial == 0 {
-                        1.0
-                    } else {
-                        recorder.detected_so_far() as f64 / targetable_initial as f64
-                    },
-                );
+            })?;
+            let dropped = (before - remaining.len()) as u64;
+            counts.blocks_flushed += 1;
+            counts.faults_dropped_by_sim += dropped;
+            counts.drops_per_block.record(dropped);
+            if let Some(n) = ndetect {
+                if !watch.is_empty() {
+                    // Count distinct detecting patterns for watched
+                    // faults against this same block (so the block that
+                    // first detected a fault contributes ≥ 1), then
+                    // retire the ones that reached the target.
+                    let wf: Vec<Fault> = watch.iter().map(|&(f, _)| f).collect();
+                    let detections = shards.detect_counts(block, &wf);
+                    for ((_, c), add) in watch.iter_mut().zip(&detections) {
+                        *c += *add;
+                        counts.ndetect_detections += u64::from(*add);
+                    }
+                    watch.retain(|&(_, c)| {
+                        if c >= n {
+                            counts.ndetect_retired += 1;
+                            false
+                        } else {
+                            true
+                        }
+                    });
+                }
             }
+            let hub = rescue_obs::live::global();
+            hub.record(rescue_obs::LiveCounter::AtpgFaultsClassified, dropped);
+            hub.record(rescue_obs::LiveCounter::AtpgFaultsDetected, dropped);
+            rescue_obs::counter("atpg.detected", recorder.detected_so_far() as f64);
+            rescue_obs::counter(
+                "atpg.coverage_so_far",
+                if targetable_initial == 0 {
+                    1.0
+                } else {
+                    recorder.detected_so_far() as f64 / targetable_initial as f64
+                },
+            );
             drop(prof_fsim);
             timing.fsim_ns += t.elapsed().as_nanos() as u64;
             rescue_obs::live::global()
@@ -956,31 +934,6 @@ mod tests {
         ));
     }
 
-    #[test]
-    fn lane_width_is_a_pure_datapath_knob() {
-        let s = small_design();
-        let base = Atpg::new(&s, AtpgConfig::default()).unwrap().run().unwrap();
-        for lane_words in [4usize, 8] {
-            let cfg = AtpgConfig {
-                lane_words,
-                ..AtpgConfig::default()
-            };
-            let wide = Atpg::new(&s, cfg).unwrap().run().unwrap();
-            assert_eq!(wide.vectors, base.vectors, "lane_words={lane_words}");
-            assert_eq!(wide.classes, base.classes, "lane_words={lane_words}");
-            assert_eq!(
-                wide.metrics.coverage, base.metrics.coverage,
-                "lane_words={lane_words}"
-            );
-            // Single-block groups replicate into padding, so even the
-            // event-driven eval count is width-invariant here.
-            assert_eq!(
-                wide.metrics.counts.fsim_gate_evals, base.metrics.counts.fsim_gate_evals,
-                "lane_words={lane_words}"
-            );
-        }
-    }
-
     /// `small_design` plus a seeded redundancy: `a0 AND ¬a0` ORed into
     /// the zero flag contributes nothing but statically provable
     /// untestable faults.
@@ -1058,21 +1011,6 @@ mod tests {
     }
 
     #[test]
-    fn unsupported_lane_width_is_an_error() {
-        let s = small_design();
-        for lane_words in [0usize, 2, 3, 16] {
-            let cfg = AtpgConfig {
-                lane_words,
-                ..AtpgConfig::default()
-            };
-            assert_eq!(
-                Atpg::new(&s, cfg).unwrap().run().unwrap_err(),
-                AtpgError::UnsupportedLaneWidth { lane_words }
-            );
-        }
-    }
-
-    #[test]
     fn ndetect_dropping_changes_counters_but_not_results() {
         let s = small_design();
         let base = Atpg::new(&s, AtpgConfig::default()).unwrap().run().unwrap();
@@ -1080,17 +1018,16 @@ mod tests {
         assert_eq!(base.metrics.counts.ndetect_detections, 0);
         assert_eq!(base.metrics.counts.ndetect_retired, 0);
         assert_eq!(base.metrics.counts.ndetect_residual, 0);
-        for (n, lane_words) in [(2u32, 1usize), (4, 1), (4, 8)] {
+        for n in [2u32, 4] {
             let cfg = AtpgConfig {
                 drop_after: Some(n),
-                lane_words,
                 ..AtpgConfig::default()
             };
             let run = Atpg::new(&s, cfg).unwrap().run().unwrap();
             // Classifications, vectors and provenance are untouched by
             // the watch list — only the bookkeeping counters move.
-            assert_eq!(run.vectors, base.vectors, "n={n} w={lane_words}");
-            assert_eq!(run.classes, base.classes, "n={n} w={lane_words}");
+            assert_eq!(run.vectors, base.vectors, "n={n}");
+            assert_eq!(run.classes, base.classes, "n={n}");
             assert_eq!(run.metrics.coverage, base.metrics.coverage);
             let c = &run.metrics.counts;
             assert_eq!(c.ndetect_target, u64::from(n));

@@ -1,12 +1,9 @@
 //! Property-style randomized cross-checks of the event-driven fault
-//! simulator: on seeded random netlists, bucket-queue propagation must
-//! match full faulty re-simulation, the heap kernel must agree with the
-//! bucket kernel down to the gate-eval count, and sharded detection
+//! simulator: on seeded random netlists, its observations must match
+//! full faulty re-simulation at every lane width, and sharded detection
 //! must be invariant to the worker count.
 
-use rescue_atpg::{
-    Atpg, AtpgConfig, FaultShards, FaultSim, Isolator, Kernel, LaneShards, Observation,
-};
+use rescue_atpg::{Atpg, AtpgConfig, FaultShards, FaultSim, Isolator, LaneShards, Observation};
 use rescue_netlist::{
     scan::insert_scan, Fault, Levelized, NetId, NetlistBuilder, PatternBlock, StuckAt,
 };
@@ -117,45 +114,6 @@ fn bucket_kernel_matches_full_resimulation_on_random_netlists() {
     }
 }
 
-#[test]
-fn kernels_agree_on_random_netlists_including_eval_counts() {
-    let mut rng = SplitMix64(0x5eed_0002);
-    for round in 0..10 {
-        let n = random_netlist(&mut rng);
-        let block = random_block(&mut rng, &n);
-        let lev = Levelized::new(&n);
-        let mut bucket = FaultSim::with_kernel(&lev, Kernel::Bucket);
-        let mut heap = FaultSim::with_kernel(&lev, Kernel::Heap);
-        let mut ppsfp = FaultSim::with_kernel(&lev, Kernel::Ppsfp);
-        bucket.load_block(&block);
-        heap.load_block(&block);
-        ppsfp.load_block(&block);
-        for fault in n.enumerate_faults() {
-            let want = bucket.observations(fault);
-            assert_eq!(
-                want,
-                heap.observations(fault),
-                "round {round}, fault {fault}"
-            );
-            assert_eq!(
-                want,
-                ppsfp.observations(fault),
-                "round {round}, fault {fault}"
-            );
-        }
-        assert_eq!(
-            bucket.stats().gate_evals.get(),
-            heap.stats().gate_evals.get(),
-            "round {round}: the kernels must evaluate the same gate set"
-        );
-        assert_eq!(
-            bucket.stats().gate_evals.get(),
-            ppsfp.stats().gate_evals.get(),
-            "round {round}: PPSFP must drive the same event set"
-        );
-    }
-}
-
 /// A group of `count` independent random blocks, so wide lane groups
 /// contain real cross-word variety.
 fn derived_blocks(
@@ -175,18 +133,19 @@ fn wide_ppsfp_masks_match_bucket_per_block_on_random_netlists() {
         let lev = Levelized::new(&n);
         let faults = n.enumerate_faults();
 
-        // Reference: per-block 64-wide masks from the Bucket kernel.
-        let mut w1 = FaultSim::with_kernel(&lev, Kernel::Bucket);
+        // Reference: per-block 64-wide masks from the width-1 simulator,
+        // which the test above holds to full re-simulation.
+        let mut w1 = FaultSim::with_levelized(&lev);
         let mut per_block: Vec<Vec<u64>> = Vec::new();
         for b in &blocks {
             w1.load_block(b);
             per_block.push(faults.iter().map(|&f| w1.detect_mask(f)).collect());
         }
 
-        // PPSFP at W=4 (two groups) and W=8 (one group) must reproduce
-        // every per-block word and the same global first lane.
-        let mut w4: FaultSim<4> = FaultSim::wide(&lev, Kernel::Ppsfp);
-        let mut w8: FaultSim<8> = FaultSim::wide(&lev, Kernel::Ppsfp);
+        // W=4 (two groups) and W=8 (one group) must reproduce every
+        // per-block word and the same global first lane.
+        let mut w4: FaultSim<4> = FaultSim::wide(&lev);
+        let mut w8: FaultSim<8> = FaultSim::wide(&lev);
         w8.load_blocks(&blocks);
         for (fi, &f) in faults.iter().enumerate() {
             let m8 = w8.detect_mask_wide(f);
@@ -321,12 +280,12 @@ fn first_detecting_lane_is_pinned_across_widths() {
 
     // W=4 and W=8 see all three blocks in one pass (plus replicated
     // padding) and must report the same global lane 2*64 + 2 = 130.
-    let mut w4: FaultSim<4> = FaultSim::wide(&lev, Kernel::Ppsfp);
+    let mut w4: FaultSim<4> = FaultSim::wide(&lev);
     w4.load_blocks(&blocks);
     assert_eq!(w4.first_detecting_lane(fault), Some(130));
     assert_eq!(w4.detecting_lane_count(fault), 2, "bits 2 and 40, once");
 
-    let mut w8: FaultSim<8> = FaultSim::wide(&lev, Kernel::Ppsfp);
+    let mut w8: FaultSim<8> = FaultSim::wide(&lev);
     w8.load_blocks(&blocks);
     assert_eq!(w8.first_detecting_lane(fault), Some(130));
     assert_eq!(w8.detecting_lane_count(fault), 2);

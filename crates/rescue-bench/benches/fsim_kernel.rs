@@ -1,10 +1,9 @@
-//! Event-kernel microbench: heap-queue vs bucket-queue fault
-//! propagation, and 1→N fault-sharding scaling, on the tiny Rescue
-//! pipeline. The `all` binary records the same comparison (at full size,
-//! into `BENCH_metrics.json`) via `fsim_kernel_report`; this target is
-//! the quick interactive version.
+//! Fault-simulation microbench: one block swept over every fault, and
+//! 1→N fault-sharding scaling, on the tiny Rescue pipeline. The `all`
+//! binary records the lane-width matrix (into `BENCH_metrics.json`) via
+//! `fsim_kernel_report`; this target is the quick interactive version.
 
-use rescue_core::atpg::{resolve_threads, Atpg, AtpgConfig, FaultShards, FaultSim, Kernel};
+use rescue_core::atpg::{resolve_threads, Atpg, AtpgConfig, FaultShards, FaultSim};
 use rescue_core::model::{build_pipeline, ModelParams, Variant};
 use rescue_core::netlist::{scan::insert_scan, Levelized};
 use std::hint::black_box;
@@ -21,21 +20,17 @@ fn main() {
     let blocks = run.blocks(&scanned);
     let block = blocks.first().expect("ATPG produced at least one block");
 
-    // Same fault sweep, two queue disciplines. Gate-eval counts are
-    // identical by construction; only the per-event queue cost differs.
-    for (name, kernel) in [("bucket", Kernel::Bucket), ("heap", Kernel::Heap)] {
-        rescue_bench::bench(&format!("fsim_block_all_faults_{name}"), 10, 1, || {
-            let mut sim = FaultSim::with_kernel(&lev, kernel);
-            sim.load_block(block);
-            let mut detected = 0u32;
-            for &f in &faults {
-                if sim.detect_mask(f) != 0 {
-                    detected += 1;
-                }
+    rescue_bench::bench("fsim_block_all_faults", 10, 1, || {
+        let mut sim = FaultSim::with_levelized(&lev);
+        sim.load_block(block);
+        let mut detected = 0u32;
+        for &f in &faults {
+            if sim.detect_mask(f) != 0 {
+                detected += 1;
             }
-            black_box(detected);
-        });
-    }
+        }
+        black_box(detected);
+    });
 
     // Fault sharding at 1 worker vs the machine's parallelism.
     let n = resolve_threads(0);

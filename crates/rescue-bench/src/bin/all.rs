@@ -10,10 +10,8 @@
 //! scaling row, and the `obs.overhead` self-benchmark (instrumented vs
 //! uninstrumented kernel throughput). `--repeat N`/`--warmup K` run the
 //! whole suite K+N times and fold varying metrics into
-//! median/MAD/min/IQR statistics; `--history PATH` appends one
-//! throughput record per run to the append-only history feeding the
-//! `leaderboard` binary. `--serve-metrics ADDR` exposes live progress
-//! at `http://ADDR/metrics` while the run is in flight, and
+//! median/MAD/min/IQR statistics. `--serve-metrics ADDR` exposes live
+//! progress at `http://ADDR/metrics` while the run is in flight, and
 //! `--progress-every N` mirrors the same counters as JSONL progress
 //! frames into the trace sink.
 
@@ -163,5 +161,4 @@ fn main() {
 
     rescue_bench::obs_finish(&obs, &mut report);
     rescue_bench::write_metrics_json(&obs, &report, Some("BENCH_metrics.json"));
-    rescue_bench::history_append(&obs, &report, threads);
 }

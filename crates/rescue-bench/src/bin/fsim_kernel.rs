@@ -1,10 +1,8 @@
-//! Standalone event-kernel microbench: the `fsim_kernel` bucket-vs-heap
-//! throughput section, the 1-vs-N thread scaling row, and the
-//! `obs.overhead` telemetry self-benchmark — without regenerating the
-//! full table/figure suite.
+//! Standalone fault-simulation microbench: the `fsim_kernel` lane-width
+//! matrix, the n-detect dropping sweep, the 1-vs-N thread scaling row,
+//! and the `obs.overhead` telemetry self-benchmark — without
+//! regenerating the full table/figure suite.
 //!
-//! This is the fastest way to feed the gate-evals/sec leaderboard:
-//! `fsim-kernel --quick --repeat 5 --history BENCH_history.jsonl`.
 //! `--metrics-json PATH` writes the machine-readable report (no default
 //! path, unlike `all`); `--metrics` renders it plus the
 //! phase-attribution flame summary on stderr; `--repeat N`/`--warmup K`
@@ -29,5 +27,4 @@ fn main() {
 
     rescue_bench::obs_finish(&obs, &mut report);
     rescue_bench::write_metrics_json(&obs, &report, None);
-    rescue_bench::history_append(&obs, &report, threads);
 }

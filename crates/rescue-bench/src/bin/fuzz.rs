@@ -1,5 +1,5 @@
 //! Differential fuzzing entry point: seeded random scan designs run
-//! through the seven cross-engine oracles (`crates/rescue-fuzz`).
+//! through the nine cross-engine oracles (`crates/rescue-fuzz`).
 //!
 //! ```text
 //! fuzz [--seed N] [--cases N] [--max-gates N] [--oracle a,b,...]

@@ -47,8 +47,6 @@
 #![warn(missing_docs)]
 
 pub mod diff;
-pub mod history;
-pub mod leaderboard;
 pub mod stats;
 
 use rescue_core::atpg::AtpgMetrics;
@@ -136,9 +134,6 @@ pub struct ObsFlags {
     /// (binaries with a conventional default, like `all` →
     /// `BENCH_metrics.json`, use it when the flag is absent).
     pub metrics_json: Option<String>,
-    /// `--history <path>`: append one run-history record (git SHA,
-    /// date, metric medians) to this JSONL file at exit.
-    pub history: Option<String>,
 }
 
 /// The running telemetry server, held for the duration of the run and
@@ -152,20 +147,6 @@ static SERVER: std::sync::Mutex<Option<rescue_obs::TelemetryServer>> = std::sync
 pub fn probe_output_file(path: &str) {
     if let Err(e) = std::fs::File::create(path) {
         eprintln!("error: cannot write output file {path}: {e}");
-        std::process::exit(2);
-    }
-}
-
-/// Probe an append-mode output file: create it if missing and verify it
-/// opens for append *without* truncating existing content (the history
-/// file is append-only by contract). Exits with code 2 on failure.
-pub fn probe_append_file(path: &str) {
-    if let Err(e) = std::fs::OpenOptions::new()
-        .create(true)
-        .append(true)
-        .open(path)
-    {
-        eprintln!("error: cannot append to output file {path}: {e}");
         std::process::exit(2);
     }
 }
@@ -205,7 +186,6 @@ pub fn obs_init() -> ObsFlags {
         repeat: arg_usize("--repeat", 1).max(1),
         warmup: arg_usize("--warmup", 0),
         metrics_json: arg_str("--metrics-json"),
-        history: arg_str("--history"),
     };
     // The phase-attribution profiler is on by default: its scopes are
     // coarse (phase-level, block-level) and its cost is bounded by the
@@ -214,9 +194,6 @@ pub fn obs_init() -> ObsFlags {
     rescue_obs::profile::global().set_enabled(true);
     if let Some(path) = &flags.metrics_json {
         probe_output_file(path);
-    }
-    if let Some(path) = &flags.history {
-        probe_append_file(path);
     }
     if let Some(path) = &flags.trace_json {
         if let Err(e) = rescue_obs::global().set_sink_path(path) {
@@ -423,18 +400,6 @@ pub fn write_metrics_json(flags: &ObsFlags, report: &Report, default_path: Optio
     eprintln!("wrote metrics JSON {path}");
 }
 
-/// Append one run-history record to the `--history` file (no-op when
-/// the flag is absent). Exits with code 1 on I/O failure.
-pub fn history_append(flags: &ObsFlags, report: &Report, threads: usize) {
-    let Some(path) = &flags.history else { return };
-    let rec = history::HistoryRecord::from_report(report, threads, quick_mode());
-    if let Err(e) = history::append_record(path, &rec) {
-        eprintln!("error: cannot append history record to {path}: {e}");
-        std::process::exit(1);
-    }
-    eprintln!("appended history record to {path} (sha {})", rec.sha);
-}
-
 /// Fill the `live` report section with the final per-counter totals
 /// from the progress rings (name-sorted; only when live telemetry was
 /// enabled this run). The whole section is informational in
@@ -529,12 +494,12 @@ pub fn atpg_report(report: &mut Report, prefix: &str, m: &AtpgMetrics) {
         .f64("effective_parallelism", p.effective_parallelism());
 }
 
-/// The `fsim-kernel` microbench: the {heap, bucket, ppsfp} × lane
-/// width {64, 256, 512} kernel matrix sweeping every collapsed fault of
-/// the Rescue (largest) design against the same 512-pattern stimulus,
-/// an n-detect fault-dropping sweep, and the 1-vs-N-thread ATPG scaling
-/// row. Deterministic counters (`detected`, `gate_evals`, the
-/// `*_agreement` flags, the dropping identity flags) gate exactly in
+/// The `fsim-kernel` microbench: the fault-simulation kernel at lane
+/// widths {64, 256, 512} sweeping every collapsed fault of the Rescue
+/// (largest) design against the same 512-pattern stimulus, an n-detect
+/// fault-dropping sweep, and the 1-vs-N-thread ATPG scaling row.
+/// Deterministic counters (`detected`, `gate_evals`,
+/// `detect_agreement`, the dropping identity flags) gate exactly in
 /// `bench-diff`; the `_ms` / `_per_sec` / `speedup` keys are throughput
 /// data (stats-gated directionally under `--stats-gate`), and
 /// everything under `fsim_kernel.parallel` is informational wall-clock.
@@ -543,7 +508,7 @@ pub fn fsim_kernel_report(
     params: &rescue_core::model::ModelParams,
     threads: usize,
 ) {
-    use rescue_core::atpg::{resolve_threads, Atpg, AtpgConfig, FaultSim, Kernel};
+    use rescue_core::atpg::{resolve_threads, Atpg, AtpgConfig, FaultSim};
     use rescue_core::model::{build_pipeline, Variant};
     use rescue_core::netlist::{scan::insert_scan, Fault, Levelized, PatternBlock};
     use std::time::Instant;
@@ -594,16 +559,16 @@ pub fn fsim_kernel_report(
         });
     }
 
-    // One matrix cell: sweep every fault against all 512 patterns in
-    // `8 / W` wide passes; per-fault "ever detected" flags are the
-    // bit-for-bit agreement evidence across all nine cells.
+    // One width: sweep every fault against all 512 patterns in `8 / W`
+    // wide passes; per-fault "ever detected" flags are the bit-for-bit
+    // agreement evidence across widths. Returns (flags, evals, seconds).
+    type Sweep = (Vec<bool>, u64, f64);
     fn wide_pass<const W: usize>(
         lev: &Levelized,
         faults: &[Fault],
         group: &[PatternBlock],
-        kernel: Kernel,
-    ) -> (Vec<bool>, u64, f64) {
-        let mut sim: FaultSim<W> = FaultSim::wide(lev, kernel);
+    ) -> Sweep {
+        let mut sim: FaultSim<W> = FaultSim::wide(lev);
         let mut detected = vec![false; faults.len()];
         let t = Instant::now();
         for chunk in group.chunks(W) {
@@ -621,59 +586,25 @@ pub fn fsim_kernel_report(
         )
     }
 
-    // The timed arms run with the profiler off so the PPSFP kernel's
-    // per-fault scopes don't bias its wall-clock against the others; an
-    // untimed attribution pass afterwards restores `profile.ppsfp_*`.
-    let prof = rescue_obs::profile::global();
-    let prof_was = prof.enabled();
-    prof.set_enabled(false);
-    let kernels: [(&str, Kernel); 3] = [
-        ("bucket", Kernel::Bucket),
-        ("heap", Kernel::Heap),
-        ("ppsfp", Kernel::Ppsfp),
-    ];
-    let mut cells: Vec<(&str, usize, Vec<bool>, u64, f64)> = Vec::new();
-    for (name, kernel) in kernels {
-        let (d, e, s) = wide_pass::<1>(&lev, &faults, &group, kernel);
-        cells.push((name, 64, d, e, s));
-        let (d, e, s) = wide_pass::<4>(&lev, &faults, &group, kernel);
-        cells.push((name, 256, d, e, s));
-        let (d, e, s) = wide_pass::<8>(&lev, &faults, &group, kernel);
-        cells.push((name, 512, d, e, s));
-    }
-    prof.set_enabled(prof_was);
-    if prof_was {
+    let cells: [(usize, Sweep); 3] = {
         let _prof = rescue_obs::profile::scope("fsim_kernel_matrix");
-        wide_pass::<8>(&lev, &faults, &group, Kernel::Ppsfp);
-    }
-
-    // Bit-for-bit agreement: every cell must detect exactly the same
-    // fault set, and within each width every kernel must drive the same
-    // event set (equal eval counts).
-    let detect_agreement = cells.iter().all(|(_, _, d, _, _)| *d == cells[0].2);
-    let eval_agreement = [64usize, 256, 512].iter().all(|&w| {
-        let evals: Vec<u64> = cells
-            .iter()
-            .filter(|&&(_, cw, _, _, _)| cw == w)
-            .map(|&(_, _, _, e, _)| e)
-            .collect();
-        evals.windows(2).all(|p| p[0] == p[1])
-    });
-
-    let cell = |name: &str, w: usize| {
-        cells
-            .iter()
-            .find(|&&(n, cw, _, _, _)| n == name && cw == w)
-            .expect("matrix covers all cells")
+        [
+            (64, wide_pass::<1>(&lev, &faults, &group)),
+            (256, wide_pass::<4>(&lev, &faults, &group)),
+            (512, wide_pass::<8>(&lev, &faults, &group)),
+        ]
     };
+    // Bit-for-bit agreement: every width must detect exactly the same
+    // fault set.
+    let detect_agreement = cells.iter().all(|(_, (d, _, _))| *d == cells[0].1 .0);
     let count = |d: &[bool]| d.iter().filter(|&&x| x).count() as u64;
-    for &(name, w, ref d, e, s) in &cells {
+    for (w, (d, e, s)) in &cells {
         report
-            .section(&format!("fsim_kernel.{name}.w{w}"))
+            .section(&format!("fsim_kernel.ppsfp.w{w}"))
             .u64("detected", count(d))
-            .u64("gate_evals", e)
+            .u64("gate_evals", *e)
             .f64("sweep_ms", s * 1e3)
-            .f64("evals_per_sec", e as f64 / s.max(1e-12));
+            .f64("evals_per_sec", *e as f64 / s.max(1e-12));
     }
 
     // n-detect dropping sweep: the watch list must not perturb any
@@ -704,44 +635,25 @@ pub fn fsim_kernel_report(
             .f64("atpg_ms", secs * 1e3);
     }
 
-    let &(_, _, _, evals_bucket, secs_bucket) = cell("bucket", 64);
-    let &(_, _, _, evals_heap, secs_heap) = cell("heap", 64);
-    let best_ppsfp = [256usize, 512]
+    // The faster wide cell is the headline throughput.
+    let (_, best_ppsfp) = cells[1..]
         .iter()
-        .map(|&w| cell("ppsfp", w))
-        .map(|&(_, _, _, e, s)| (e, s))
-        .min_by(|a, b| a.1.total_cmp(&b.1))
-        .expect("ppsfp cells exist");
+        .min_by(|a, b| a.1 .2.total_cmp(&b.1 .2))
+        .expect("wide cells exist");
+    let (_, (detected_512, evals_512, _)) = &cells[2];
     report
         .section("fsim_kernel")
         .u64("faults", faults.len() as u64)
         .u64("patterns", group.len() as u64 * 64)
-        .u64("detected_bucket", count(&cell("bucket", 64).2))
-        .u64("detected_heap", count(&cell("heap", 64).2))
-        .u64("detected_ppsfp", count(&cell("ppsfp", 512).2))
-        .u64("gate_evals_bucket", evals_bucket)
-        .u64("gate_evals_heap", evals_heap)
-        .u64("gate_evals_ppsfp", cell("ppsfp", 512).3)
+        .u64("detected_ppsfp", count(detected_512))
+        .u64("gate_evals_ppsfp", *evals_512)
         .u64("detect_agreement", u64::from(detect_agreement))
-        .u64("eval_agreement", u64::from(eval_agreement))
         .u64("serial_equivalence", u64::from(identical))
-        .f64("bucket_ms", secs_bucket * 1e3)
-        .f64("heap_ms", secs_heap * 1e3)
-        .f64("ppsfp_ms", best_ppsfp.1 * 1e3)
-        .f64(
-            "bucket_evals_per_sec",
-            evals_bucket as f64 / secs_bucket.max(1e-12),
-        )
-        .f64(
-            "heap_evals_per_sec",
-            evals_heap as f64 / secs_heap.max(1e-12),
-        )
+        .f64("ppsfp_ms", best_ppsfp.2 * 1e3)
         .f64(
             "ppsfp_evals_per_sec",
-            best_ppsfp.0 as f64 / best_ppsfp.1.max(1e-12),
-        )
-        .f64("kernel_speedup", secs_heap / secs_bucket.max(1e-12))
-        .f64("ppsfp_speedup", secs_bucket / best_ppsfp.1.max(1e-12));
+            best_ppsfp.1 as f64 / best_ppsfp.2.max(1e-12),
+        );
     report
         .section("fsim_kernel.parallel")
         .u64("threads", threads as u64)
@@ -757,14 +669,14 @@ pub fn fsim_kernel_report(
 
 /// The `obs.overhead` self-benchmark: the cost of live telemetry,
 /// itself measured. Sweeps every collapsed fault of the Rescue design
-/// against one deterministic pattern block on the bucket kernel — once
+/// against one deterministic pattern block on the fault simulator — once
 /// with the live hub disabled, once with it enabled *and* a per-fault
 /// ring record (strictly more record traffic than the per-shard records
 /// production code emits) — and reports both throughputs plus their
 /// ratio. Best-of-3 per arm, arms interleaved. Wall-clock data: the
 /// whole `obs.overhead` section is informational in `bench-diff`.
 pub fn obs_overhead_report(report: &mut Report, params: &rescue_core::model::ModelParams) {
-    use rescue_core::atpg::{FaultSim, Kernel};
+    use rescue_core::atpg::FaultSim;
     use rescue_core::model::{build_pipeline, Variant};
     use rescue_core::netlist::{scan::insert_scan, Levelized, PatternBlock};
     use std::time::Instant;
@@ -798,7 +710,7 @@ pub fn obs_overhead_report(report: &mut Report, params: &rescue_core::model::Mod
     let sweep = |hub_on: bool, prof_on: bool| -> (u64, f64) {
         hub.set_enabled(hub_on);
         prof.set_enabled(prof_on);
-        let mut sim = FaultSim::with_kernel(&lev, Kernel::Bucket);
+        let mut sim = FaultSim::with_levelized(&lev);
         sim.load_block(&block);
         let mut evals = 0u64;
         let t = Instant::now();

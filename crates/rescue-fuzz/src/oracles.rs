@@ -7,19 +7,20 @@
 //! * [`engines`] — good-machine values from the interpreter
 //!   ([`Netlist::simulate`]) against the levelized packed evaluator,
 //!   and per-fault detection masks from the naive full-re-evaluation
-//!   reference against both event-driven kernels (bucket and heap).
+//!   reference against the event-driven PPSFP kernel at 64 patterns
+//!   per pass.
 //! * [`shards`] — the multi-threaded fault-sharding layer at 1, 2 and 8
 //!   workers against the serial simulator, lane for lane.
-//! * [`wide`] — the wide PPSFP kernel at 256 and 512 patterns per pass
-//!   against the 64-wide bucket kernel: every per-block detect-mask
-//!   word and the global first-detecting lane must be identical.
+//! * [`wide`] — the kernel at 256 and 512 patterns per pass against the
+//!   naive per-block reference: every per-block detect-mask word and
+//!   the global first-detecting lane must be identical.
 //! * [`atpg_confirm`] — every fault ATPG classifies `Detected` must be
 //!   detected by at least one of the run's own vectors under the naive
 //!   reference simulator.
 //! * [`dropping`] — full ATPG runs with n-detect fault dropping on
-//!   (`drop_after`) and with wide lanes (`lane_words = 8`) against the
-//!   default run: classifications, vectors and the coverage curve must
-//!   be bit-identical, since both are pure datapath/bookkeeping knobs.
+//!   (`drop_after`) against the default run: classifications, vectors
+//!   and the coverage curve must be bit-identical, since dropping is a
+//!   pure bookkeeping knob.
 //! * [`collapse`] — structural fault-equivalence collapsing against
 //!   brute force: on exhaustively-stimulated small circuits, every
 //!   enumerated fault's full detection signature must be exhibited by
@@ -39,7 +40,7 @@
 use crate::ir::CaseIr;
 use crate::naive_podem::NaivePodem;
 use rescue_atpg::{
-    Atpg, AtpgConfig, FaultClass, FaultShards, FaultSim, Kernel, Podem, PodemConfig, PodemResult,
+    Atpg, AtpgConfig, FaultClass, FaultShards, FaultSim, Podem, PodemConfig, PodemResult,
     PodemStats,
 };
 use rescue_netlist::scan::insert_scan;
@@ -52,13 +53,13 @@ pub enum OracleKind {
     Engines,
     /// Serial vs. multi-threaded fault simulation bit-identity.
     Shards,
-    /// Wide PPSFP (256/512 patterns per pass) vs. 64-wide bucket
-    /// detect-mask and first-lane bit-identity.
+    /// Wide lanes (256/512 patterns per pass) vs. the naive per-block
+    /// detect-mask and first-lane reference.
     Wide,
     /// ATPG `Detected` classifications confirmed by an independent
     /// simulator.
     AtpgConfirm,
-    /// ATPG with n-detect dropping / wide lanes vs. the default run:
+    /// ATPG with n-detect dropping vs. the default run:
     /// classifications, vectors and coverage must be bit-identical.
     Dropping,
     /// Fault-equivalence collapsing vs. brute-force signatures.
@@ -139,7 +140,7 @@ impl OracleKind {
 /// Naive single-fault detection mask: full re-evaluation of the faulty
 /// machine, OR of the differences at every observation point (primary
 /// outputs and flip-flop D inputs). This is the reference the
-/// event-driven kernels are judged against.
+/// event-driven kernel is judged against.
 fn naive_detect_mask(netlist: &Netlist, good: &[u64], block: &PatternBlock, fault: Fault) -> u64 {
     signature(netlist, good, block, fault)
         .into_iter()
@@ -162,7 +163,7 @@ fn signature(netlist: &Netlist, good: &[u64], block: &PatternBlock, fault: Fault
 }
 
 /// Oracle (a): interpreter vs. levelized evaluator on every net, then
-/// naive vs. bucket vs. heap detection masks on every collapsed fault.
+/// naive vs. event-driven detection masks on every collapsed fault.
 pub fn engines(case: &CaseIr) -> Result<(), String> {
     let netlist = case.build()?;
     let block = case.block();
@@ -179,17 +180,14 @@ pub fn engines(case: &CaseIr) -> Result<(), String> {
         }
     }
 
-    let mut bucket = FaultSim::with_kernel(&lev, Kernel::Bucket);
-    let mut heap = FaultSim::with_kernel(&lev, Kernel::Heap);
-    bucket.load_block(&block);
-    heap.load_block(&block);
+    let mut sim = FaultSim::with_levelized(&lev);
+    sim.load_block(&block);
     for fault in netlist.collapse_faults() {
         let want = naive_detect_mask(&netlist, &good.nets, &block, fault);
-        let got_b = bucket.detect_mask(fault);
-        let got_h = heap.detect_mask(fault);
-        if got_b != want || got_h != want {
+        let got = sim.detect_mask(fault);
+        if got != want {
             return Err(format!(
-                "fault {fault}: naive mask {want:#x}, bucket {got_b:#x}, heap {got_h:#x}"
+                "fault {fault}: naive mask {want:#x}, event-driven {got:#x}"
             ));
         }
     }
@@ -246,32 +244,36 @@ fn derived_blocks(base: &PatternBlock) -> Vec<PatternBlock> {
         .collect()
 }
 
-/// Oracle: the wide PPSFP kernel at 256 (`W = 4`) and 512 (`W = 8`)
-/// patterns per pass must reproduce the 64-wide bucket kernel's
-/// per-block detect-mask words and global first-detecting lane
-/// (`word * 64 + bit` in vector order) on every collapsed fault.
+/// Oracle: the kernel at 256 (`W = 4`) and 512 (`W = 8`) patterns per
+/// pass must reproduce the naive reference's per-block detect-mask
+/// words and global first-detecting lane (`word * 64 + bit` in vector
+/// order) on every collapsed fault.
 pub fn wide(case: &CaseIr) -> Result<(), String> {
     let netlist = case.build()?;
     let blocks = derived_blocks(&case.block());
     let lev = Levelized::new(&netlist);
     let faults = netlist.collapse_faults();
 
-    let mut bucket = FaultSim::with_kernel(&lev, Kernel::Bucket);
-    let mut per_block: Vec<Vec<u64>> = Vec::new();
-    for b in &blocks {
-        bucket.load_block(b);
-        per_block.push(faults.iter().map(|&f| bucket.detect_mask(f)).collect());
-    }
+    let per_block: Vec<Vec<u64>> = blocks
+        .iter()
+        .map(|b| {
+            let good = netlist.simulate(b);
+            faults
+                .iter()
+                .map(|&f| naive_detect_mask(&netlist, &good.nets, b, f))
+                .collect()
+        })
+        .collect();
 
-    let mut w4: FaultSim<4> = FaultSim::wide(&lev, Kernel::Ppsfp);
-    let mut w8: FaultSim<8> = FaultSim::wide(&lev, Kernel::Ppsfp);
+    let mut w4: FaultSim<4> = FaultSim::wide(&lev);
+    let mut w8: FaultSim<8> = FaultSim::wide(&lev);
     w8.load_blocks(&blocks);
     for (fi, &f) in faults.iter().enumerate() {
         let m8 = w8.detect_mask_wide(f);
         for (word, &m) in m8.iter().enumerate() {
             if m != per_block[word][fi] {
                 return Err(format!(
-                    "fault {f}: ppsfp(512) word {word} mask {m:#x} != bucket(64) {:#x}",
+                    "fault {f}: 512-wide word {word} mask {m:#x} != naive {:#x}",
                     per_block[word][fi]
                 ));
             }
@@ -283,7 +285,7 @@ pub fn wide(case: &CaseIr) -> Result<(), String> {
         let got = w8.first_detecting_lane(f);
         if got != want_lane {
             return Err(format!(
-                "fault {f}: ppsfp(512) first lane {got:?} != bucket-derived {want_lane:?}"
+                "fault {f}: 512-wide first lane {got:?} != naive-derived {want_lane:?}"
             ));
         }
     }
@@ -294,8 +296,8 @@ pub fn wide(case: &CaseIr) -> Result<(), String> {
             for (word, &m) in m4.iter().enumerate() {
                 if m != per_block[g * 4 + word][fi] {
                     return Err(format!(
-                        "fault {f}: ppsfp(256) group {g} word {word} mask {m:#x} \
-                         != bucket(64) {:#x}",
+                        "fault {f}: 256-wide group {g} word {word} mask {m:#x} \
+                         != naive {:#x}",
                         per_block[g * 4 + word][fi]
                     ));
                 }
@@ -305,10 +307,10 @@ pub fn wide(case: &CaseIr) -> Result<(), String> {
     Ok(())
 }
 
-/// Oracle: n-detect fault dropping (`drop_after`) and wide lanes
-/// (`lane_words = 8`) are pure bookkeeping/datapath knobs — a full ATPG
-/// run with either enabled must produce bit-identical classifications,
-/// vectors and coverage curves to the default run.
+/// Oracle: n-detect fault dropping (`drop_after`) is a pure
+/// bookkeeping knob — a full ATPG run with it enabled must produce
+/// bit-identical classifications, vectors and coverage curves to the
+/// default run.
 pub fn dropping(case: &CaseIr) -> Result<(), String> {
     let netlist = case.build()?;
     let scanned = insert_scan(&netlist).map_err(|e| format!("insert_scan: {e}"))?;
@@ -326,17 +328,9 @@ pub fn dropping(case: &CaseIr) -> Result<(), String> {
             },
         ),
         (
-            "lane_words=8",
-            AtpgConfig {
-                lane_words: 8,
-                ..AtpgConfig::default()
-            },
-        ),
-        (
-            "drop_after=3,lane_words=4",
+            "drop_after=3",
             AtpgConfig {
                 drop_after: Some(3),
-                lane_words: 4,
                 ..AtpgConfig::default()
             },
         ),

@@ -10,7 +10,7 @@
 //! oracle: engines
 //! seed: 1
 //! case: 17
-//! detail: fault and_g3/sa0: naive mask 0x4, bucket 0x0, heap 0x0
+//! detail: fault and_g3/sa0: naive mask 0x4, event-driven 0x0
 //! inputs: 2
 //! dff: 3
 //! gate: and 0 1

@@ -69,8 +69,10 @@ pub struct JobConfig {
     /// are bit-identical for any value, so it is excluded from
     /// [`JobConfig::config_hash`].
     pub threads: usize,
-    /// Fault-sim lane width in words (`"lane_words"`, 1/4/8). Datapath
-    /// knob, excluded from the hash like `threads`.
+    /// Fault-sim lane width in 64-pattern words (`"lane_words"`, 1, 4
+    /// or 8; anything else is rejected by [`JobConfig::parse`]). Used
+    /// only by `fsim` jobs. Datapath knob, excluded from the hash like
+    /// `threads`.
     pub lane_words: usize,
     /// ATPG random-fill seed (`"fill_seed"`).
     pub fill_seed: u64,
@@ -171,6 +173,12 @@ impl JobConfig {
         if cfg.patterns == 0 || cfg.patterns > 4096 {
             return Err("\"patterns\" must be in 1..=4096".to_owned());
         }
+        // Checked here, before any cache lookup: `lane_words` is not
+        // part of the config hash, so a bad width must never reach the
+        // result cache's key space.
+        if ![1, 4, 8].contains(&cfg.lane_words) {
+            return Err("\"lane_words\" must be 1, 4 or 8".to_owned());
+        }
         Ok(cfg)
     }
 
@@ -206,7 +214,6 @@ impl JobConfig {
             merge_cubes: self.merge_cubes,
             merge_window: self.merge_window,
             threads: self.threads,
-            lane_words: self.lane_words,
             static_prepass: self.static_prepass,
             drop_after: if self.drop_after > 1 {
                 Some(self.drop_after)
@@ -415,6 +422,14 @@ mod tests {
         assert!(JobConfig::parse(r#"{"kind":"fsim","patterns":0}"#).is_err());
         assert!(JobConfig::parse(r#"{"kind":"atpg","merge_cubes":3}"#).is_err());
         assert!(JobConfig::parse(r#"{"kind":"atpg","static_prepass":"yes"}"#).is_err());
+        for bad in [0, 2, 3, 16] {
+            let cfg = format!(r#"{{"kind":"fsim","lane_words":{bad}}}"#);
+            assert!(JobConfig::parse(&cfg).is_err(), "lane_words {bad}");
+        }
+        for good in [1, 4, 8] {
+            let cfg = format!(r#"{{"kind":"fsim","lane_words":{good}}}"#);
+            assert_eq!(JobConfig::parse(&cfg).unwrap().lane_words, good);
+        }
     }
 
     #[test]

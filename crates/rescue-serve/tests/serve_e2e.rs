@@ -206,6 +206,15 @@ fn malformed_jobs_get_4xx_and_the_server_survives() {
     assert!(status.contains("200"), "{status}");
     assert!(body.contains("flip-flop"), "{body}");
 
+    // An unsupported lane width is a 400 even once a result for the
+    // same design and otherwise-equal config sits in the result cache.
+    let tiny = "component c\ninput a\ngate not 0\noutput o 1\n";
+    let (status, _) = post_job(addr, r#"{"kind":"fsim","lane_words":1}"#, tiny);
+    assert!(status.contains("200"), "{status}");
+    let (status, body) = post_job(addr, r#"{"kind":"fsim","lane_words":3}"#, tiny);
+    assert!(status.contains("400"), "{status}");
+    assert!(body.contains("lane_words"), "{body}");
+
     // The server is still alive and scrapeable.
     let (status, body) = http_get(addr, "/metrics");
     assert!(status.contains("200"), "{status}");
