@@ -46,7 +46,6 @@ pub mod fsim;
 pub mod isolation;
 pub mod parallel;
 pub mod podem;
-mod threeval;
 mod tpg;
 
 pub use chain::{chain_flush_test, flush_pattern, ChainTestResult};
@@ -55,7 +54,7 @@ pub use fsim::{FaultSim, FsimStats, Observation};
 pub use isolation::{IsolationOutcome, Isolator};
 pub use parallel::{resolve_threads, FaultShards, FsimParallel, LaneShards};
 pub use podem::{Podem, PodemConfig, PodemResult, PodemStats, TestCube};
-pub use threeval::{controlling_value, eval_gate_v3, V3};
+pub use rescue_netlist::V3;
 pub use tpg::{
     merge_cubes, Atpg, AtpgConfig, AtpgCounts, AtpgMetrics, AtpgRun, AtpgTiming, FaultClass,
     ScanTestStats,

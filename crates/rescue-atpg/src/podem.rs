@@ -29,8 +29,7 @@
 //! in [`Netlist::topo_order`], so the objective comes from the first
 //! frontier gate in that order — the order the search has always used.
 
-use crate::threeval::{controlling_value, eval_gate_v3, V3};
-use rescue_netlist::{Driver, Fault, FaultSite, GateKind, Levelized, NetId, Netlist};
+use rescue_netlist::{Driver, Fault, FaultSite, GateKind, Levelized, NetId, Netlist, V3};
 use rescue_obs::metrics::{Counter, Histogram};
 use std::borrow::Cow;
 
@@ -230,7 +229,7 @@ impl<'a> Podem<'a> {
         for pos in 0..lev.num_gates() as u32 {
             buf.clear();
             buf.extend(lev.inputs(pos).iter().map(|&i| base[i as usize]));
-            base[lev.out_net(pos) as usize] = eval_gate_v3(lev.kind(pos), &buf);
+            base[lev.out_net(pos) as usize] = lev.kind(pos).eval_v3(&buf);
         }
         Podem {
             netlist,
@@ -438,11 +437,11 @@ impl<'a> Podem<'a> {
             }
         }
         let kind = lev.kind(pos);
-        let g = eval_gate_v3(kind, &m.gbuf);
+        let g = kind.eval_v3(&m.gbuf);
         let b = if m.out_fault == Some(pos) {
             m.stuck
         } else {
-            eval_gate_v3(kind, &m.bbuf)
+            kind.eval_v3(&m.bbuf)
         };
         self.write(m, lev.out_net(pos) as usize, g, b);
         let member = has_d_input && has_x_input && !is_diff(g, b);
@@ -495,7 +494,7 @@ impl<'a> Podem<'a> {
                 let a = inputs[1] as usize;
                 !is_diff(m.good[a], m.bad[a])
             }
-            k => match controlling_value(k) {
+            k => match k.controlling_value() {
                 Some(c) => !c,
                 None => false,
             },
@@ -566,8 +565,8 @@ impl<'a> Podem<'a> {
                             value = v1 < v0;
                         }
                         GateKind::And | GateKind::Nand | GateKind::Or | GateKind::Nor => {
-                            let c = controlling_value(kind).expect("controlled gate");
-                            let inv = matches!(kind, GateKind::Nand | GateKind::Nor);
+                            let c = kind.controlling_value().expect("controlled gate");
+                            let inv = kind.inverts();
                             let needed = if inv { !value } else { value };
                             // needed == c-controlled output (c AND-like -> 0)?
                             // For AND: output 0 needs one input 0 (easy pick);
@@ -849,11 +848,11 @@ mod tests {
                 }
             }
             let out = gate.output().index();
-            good[out] = eval_gate_v3(gate.kind(), &gv);
+            good[out] = gate.kind().eval_v3(&gv);
             bad[out] = if fault.site == FaultSite::Net(gate.output()) {
                 stuck
             } else {
-                eval_gate_v3(gate.kind(), &bv)
+                gate.kind().eval_v3(&bv)
             };
         }
         (good, bad)

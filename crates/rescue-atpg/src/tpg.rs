@@ -3,8 +3,7 @@
 use crate::error::AtpgError;
 use crate::parallel::{resolve_threads, FaultShards, FsimParallel};
 use crate::podem::{Podem, PodemConfig, PodemResult, TestCube};
-use crate::threeval::V3;
-use rescue_netlist::{Driver, Fault, FaultSite, Levelized, PatternBlock, ScanNetlist};
+use rescue_netlist::{Driver, Fault, FaultSite, Levelized, PatternBlock, ScanNetlist, V3};
 use rescue_obs::coverage::{CoverageRecorder, LabelId};
 use rescue_obs::metrics::HistogramSnapshot;
 use rescue_obs::{CoverageCurve, SplitMix64};

@@ -996,8 +996,9 @@ mod tests {
         let b = mk(9, 1, 0, "6000.0");
         let r = diff(&b, &mk(9, 1, 0, "9500.0"), &DiffConfig::default()).unwrap();
         assert!(!r.regressed(), "{}", r.render(true));
-        assert!(r.deltas.iter().any(|d| d.severity == Severity::Info
-            && d.path == "atpg.prepass.rescue.proofs_per_sec"));
+        assert!(r.deltas.iter().any(
+            |d| d.severity == Severity::Info && d.path == "atpg.prepass.rescue.proofs_per_sec"
+        ));
         // ...but losing proofs, moving a vector (`vectors_identical`
         // 1 → 0), or any non-upgrade class change (`unsound_diffs`
         // 0 → 1) is a regression.
@@ -1009,12 +1010,19 @@ mod tests {
             .any(|d| d.severity == Severity::Fail && d.path == "atpg.prepass.rescue.proven"));
         let r = diff(&b, &mk(9, 0, 0, "6000.0"), &DiffConfig::default()).unwrap();
         assert!(r.regressed());
-        assert!(r.deltas.iter().any(|d| d.severity == Severity::Fail
-            && d.path == "atpg.prepass.rescue.vectors_identical"));
+        assert!(r
+            .deltas
+            .iter()
+            .any(|d| d.severity == Severity::Fail
+                && d.path == "atpg.prepass.rescue.vectors_identical"));
         let r = diff(&b, &mk(9, 1, 1, "6000.0"), &DiffConfig::default()).unwrap();
         assert!(r.regressed());
-        assert!(r.deltas.iter().any(|d| d.severity == Severity::Fail
-            && d.path == "atpg.prepass.rescue.unsound_diffs"));
+        assert!(
+            r.deltas
+                .iter()
+                .any(|d| d.severity == Severity::Fail
+                    && d.path == "atpg.prepass.rescue.unsound_diffs")
+        );
     }
 
     #[test]

@@ -124,7 +124,7 @@ impl CaseIr {
             s.push_str(&format!("dff: {d}\n"));
         }
         for g in &self.gates {
-            s.push_str(&format!("gate: {}", kind_name(g.kind)));
+            s.push_str(&format!("gate: {}", g.kind));
             for &i in &g.inputs {
                 s.push_str(&format!(" {i}"));
             }
@@ -174,11 +174,10 @@ impl CaseIr {
                 }
                 "gate" => {
                     let mut parts = rest.split_whitespace();
-                    let kind = kind_of_name(
-                        parts
-                            .next()
-                            .ok_or_else(|| "gate line missing kind".to_owned())?,
-                    )?;
+                    let kind: GateKind = parts
+                        .next()
+                        .ok_or_else(|| "gate line missing kind".to_owned())?
+                        .parse()?;
                     let inputs = parts
                         .map(|p| p.parse().map_err(|e| format!("gate input: {e}")))
                         .collect::<Result<Vec<u32>, _>>()?;
@@ -214,41 +213,6 @@ impl CaseIr {
 fn parse_hex(s: &str) -> Result<u64, String> {
     let s = s.strip_prefix("0x").unwrap_or(s);
     u64::from_str_radix(s, 16).map_err(|e| format!("bad hex word {s}: {e}"))
-}
-
-/// Stable lowercase name for a gate kind (repro format).
-pub fn kind_name(kind: GateKind) -> &'static str {
-    match kind {
-        GateKind::Const0 => "const0",
-        GateKind::Const1 => "const1",
-        GateKind::Buf => "buf",
-        GateKind::Not => "not",
-        GateKind::And => "and",
-        GateKind::Or => "or",
-        GateKind::Xor => "xor",
-        GateKind::Nand => "nand",
-        GateKind::Nor => "nor",
-        GateKind::Xnor => "xnor",
-        GateKind::Mux => "mux",
-    }
-}
-
-/// Inverse of [`kind_name`].
-pub fn kind_of_name(name: &str) -> Result<GateKind, String> {
-    Ok(match name {
-        "const0" => GateKind::Const0,
-        "const1" => GateKind::Const1,
-        "buf" => GateKind::Buf,
-        "not" => GateKind::Not,
-        "and" => GateKind::And,
-        "or" => GateKind::Or,
-        "xor" => GateKind::Xor,
-        "nand" => GateKind::Nand,
-        "nor" => GateKind::Nor,
-        "xnor" => GateKind::Xnor,
-        "mux" => GateKind::Mux,
-        other => return Err(format!("unknown gate kind: {other}")),
-    })
 }
 
 #[cfg(test)]

@@ -10,10 +10,8 @@
 //! decisions, backtracks and cubes for every fault.
 
 use rescue_atpg::podem::scoap;
-use rescue_atpg::{
-    controlling_value, eval_gate_v3, PodemConfig, PodemResult, PodemStats, TestCube, V3,
-};
-use rescue_netlist::{Driver, Fault, FaultSite, GateKind, NetId, Netlist};
+use rescue_atpg::{PodemConfig, PodemResult, PodemStats, TestCube};
+use rescue_netlist::{Driver, Fault, FaultSite, GateKind, NetId, Netlist, V3};
 
 /// The full-sweep PODEM engine bound to one netlist + pin-constraint set.
 #[derive(Debug)]
@@ -166,8 +164,8 @@ impl<'a> NaivePodem<'a> {
                 }
             }
             let out = gate.output();
-            m.good[out.index()] = eval_gate_v3(gate.kind(), &gbuf);
-            let mut bv = eval_gate_v3(gate.kind(), &bbuf);
+            m.good[out.index()] = gate.kind().eval_v3(&gbuf);
+            let mut bv = gate.kind().eval_v3(&bbuf);
             if fault.site == FaultSite::Net(out) {
                 bv = stuck;
             }
@@ -252,7 +250,7 @@ impl<'a> NaivePodem<'a> {
                                 && m.bad[a.index()] != V3::X;
                             !da
                         }
-                        k => match controlling_value(k) {
+                        k => match k.controlling_value() {
                             Some(c) => !c,
                             None => false,
                         },
@@ -327,8 +325,8 @@ impl<'a> NaivePodem<'a> {
                             value = v1 < v0;
                         }
                         GateKind::And | GateKind::Nand | GateKind::Or | GateKind::Nor => {
-                            let c = controlling_value(kind).expect("controlled gate");
-                            let inv = matches!(kind, GateKind::Nand | GateKind::Nor);
+                            let c = kind.controlling_value().expect("controlled gate");
+                            let inv = kind.inverts();
                             let needed = if inv { !value } else { value };
                             // needed == c-controlled output (c AND-like -> 0)?
                             // For AND: output 0 needs one input 0 (easy pick);

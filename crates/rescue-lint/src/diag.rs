@@ -200,8 +200,9 @@ pub struct ImplicationReport {
 pub struct LintReport {
     /// Every finding, in rule order.
     pub diagnostics: Vec<Diagnostic>,
-    /// Nets the constant-propagation rule proved stuck, as
-    /// `(net, value)` — the `stuck-at-value` fault on each is
+    /// Nets the implication engine's first constant-propagation pass
+    /// proved stuck, as `(net, value)` in net order — empty when the
+    /// netlist is unsound. The `stuck-at-value` fault on each is
     /// untestable by construction. Present even though the same nets
     /// appear as [`Rule::StuckNet`] diagnostics, so programmatic
     /// consumers (the fuzz oracle, tests) need not re-parse messages.

@@ -10,7 +10,10 @@
 //!    in contrapositive-closed pairs, so the contrapositive law holds
 //!    by construction on the edge set.
 //! 2. **Constants** from 3-valued propagation under pin constraints
-//!    (the ATPG capture view pins `scan_enable = 0`), which also
+//!    (the ATPG capture view pins `scan_enable = 0`), through
+//!    [`GateKind::eval_v3`] plus the structural identity that an xor
+//!    over an even count of one net is 0. The first pass, before any
+//!    learning, is what the lint `stuck-net` rule reports. Constants also
 //!    *strengthen* the edge set: a mux whose select is constant
 //!    degenerates to a buffer, an AND with every other input constant
 //!    non-controlling becomes a buffer, and so on.
@@ -37,8 +40,8 @@
 //! `false` just means "not proven". The fuzz harness's `redundancy`
 //! oracle cross-checks every proof against PODEM.
 
-use crate::ir::{LintNetlist, NO_NET};
-use rescue_netlist::{Fault, FaultSite, GateKind, Levelized};
+use crate::ir::LintNetlist;
+use rescue_netlist::{Fault, FaultSite, GateKind, Levelized, V3};
 use std::collections::VecDeque;
 
 /// Cap on literals visited per failed-literal probe. Keeps the global
@@ -104,9 +107,6 @@ pub struct ImplicationEngine {
     num_nets: usize,
     // Gates in topological order, CSR over input nets.
     kinds: Vec<GateKind>,
-    /// Gates whose wiring could not be trusted (invalid pins in the
-    /// lint view): no implications, no blocking, diffs pass through.
-    opaque: Vec<bool>,
     gate_in_offsets: Vec<u32>,
     gate_ins: Vec<u32>,
     gate_out: Vec<u32>,
@@ -118,6 +118,9 @@ pub struct ImplicationEngine {
     obs: Vec<bool>,
     /// Learned constants per net.
     constv: Vec<Option<bool>>,
+    /// Constants `(net, value)` of the first propagation pass, before
+    /// failed-literal learning, in net order.
+    propagated: Vec<(u32, bool)>,
     // Implication edges, CSR over literals (2·net + value).
     edge_offsets: Vec<u32>,
     edges: Vec<u32>,
@@ -169,11 +172,9 @@ impl ImplicationEngine {
                 constv[ni as usize] = Some(*v);
             }
         }
-        let opaque = vec![false; kinds.len()];
         let mut eng = ImplicationEngine::assemble(
             num_nets,
             kinds,
-            opaque,
             gate_in_offsets,
             gate_ins,
             gate_out,
@@ -187,47 +188,34 @@ impl ImplicationEngine {
     /// Build the engine over the functional lint view (no pin
     /// constraints). `topo` is a topological gate order as produced by
     /// [`crate::rules::levelize`]. Observation points are declared
-    /// outputs and flip-flop D nets. Gates wired to invalid nets are
-    /// kept opaque: they emit no implications and never block
-    /// propagation, so proofs stay sound on unvalidated input.
-    pub fn from_lint(netlist: &LintNetlist, topo: &[usize]) -> ImplicationEngine {
+    /// outputs and flip-flop D nets. The netlist must be one
+    /// [`crate::rules::run_rules`] found sound: every pin wired to a
+    /// valid net and every arity legal.
+    pub(crate) fn from_lint(netlist: &LintNetlist, topo: &[usize]) -> ImplicationEngine {
         let _prof = rescue_obs::profile::scope("implication.build");
         let num_nets = netlist.num_nets();
-        let ok = |n: u32| n != NO_NET && (n as usize) < num_nets;
         let mut kinds = Vec::with_capacity(topo.len());
-        let mut opaque = Vec::with_capacity(topo.len());
         let mut gate_in_offsets = vec![0u32];
         let mut gate_ins = Vec::new();
-        let mut gate_out = Vec::new();
+        let mut gate_out = Vec::with_capacity(topo.len());
         for &gi in topo {
             let g = &netlist.gates[gi];
-            if !ok(g.output) {
-                continue;
-            }
             kinds.push(g.kind);
-            opaque.push(
-                !g.inputs.iter().all(|&n| ok(n)) || !g.kind.arity_ok(g.inputs.len()),
-            );
-            gate_ins.extend(g.inputs.iter().copied().filter(|&n| ok(n)));
+            gate_ins.extend_from_slice(&g.inputs);
             gate_in_offsets.push(gate_ins.len() as u32);
             gate_out.push(g.output);
         }
         let mut obs = vec![false; num_nets];
-        for (_, n) in &netlist.outputs {
-            if ok(*n) {
-                obs[*n as usize] = true;
-            }
+        for &(_, n) in &netlist.outputs {
+            obs[n as usize] = true;
         }
         for d in &netlist.dffs {
-            if ok(d.d) {
-                obs[d.d as usize] = true;
-            }
+            obs[d.d as usize] = true;
         }
         let constv = vec![None; num_nets];
         let mut eng = ImplicationEngine::assemble(
             num_nets,
             kinds,
-            opaque,
             gate_in_offsets,
             gate_ins,
             gate_out,
@@ -238,11 +226,9 @@ impl ImplicationEngine {
         eng
     }
 
-    #[allow(clippy::too_many_arguments)]
     fn assemble(
         num_nets: usize,
         kinds: Vec<GateKind>,
-        opaque: Vec<bool>,
         gate_in_offsets: Vec<u32>,
         gate_ins: Vec<u32>,
         gate_out: Vec<u32>,
@@ -260,7 +246,10 @@ impl ImplicationEngine {
         let mut cursor = fan_offsets.clone();
         let mut fan_gates = vec![0u32; gate_ins.len()];
         for gi in 0..kinds.len() {
-            let (a, b) = (gate_in_offsets[gi] as usize, gate_in_offsets[gi + 1] as usize);
+            let (a, b) = (
+                gate_in_offsets[gi] as usize,
+                gate_in_offsets[gi + 1] as usize,
+            );
             for &n in &gate_ins[a..b] {
                 let c = &mut cursor[n as usize];
                 fan_gates[*c as usize] = gi as u32;
@@ -270,7 +259,6 @@ impl ImplicationEngine {
         ImplicationEngine {
             num_nets,
             kinds,
-            opaque,
             gate_in_offsets,
             gate_ins,
             gate_out,
@@ -278,6 +266,7 @@ impl ImplicationEngine {
             fan_gates,
             obs,
             constv,
+            propagated: Vec::new(),
             edge_offsets: Vec::new(),
             edges: Vec::new(),
             probe_rounds: 0,
@@ -302,96 +291,35 @@ impl ImplicationEngine {
         &self.fan_gates[self.fan_offsets[ni] as usize..self.fan_offsets[ni + 1] as usize]
     }
 
-    /// 3-valued evaluation of one gate under the current constants,
-    /// including the structural identities `xor(a,a)=0` / `xnor(a,a)=1`
-    /// and the equal-leg mux.
-    fn eval_const(&self, gi: usize) -> Option<bool> {
-        if self.opaque[gi] {
-            return None;
-        }
-        let v = |n: u32| self.constv[n as usize];
-        let ins = self.ins(gi);
-        match self.kinds[gi] {
-            GateKind::Const0 => Some(false),
-            GateKind::Const1 => Some(true),
-            GateKind::Buf => ins.first().and_then(|&n| v(n)),
-            GateKind::Not => ins.first().and_then(|&n| v(n)).map(|b| !b),
-            GateKind::And | GateKind::Nand => {
-                let invert = matches!(self.kinds[gi], GateKind::Nand);
-                let mut unknown = false;
-                for &n in ins {
-                    match v(n) {
-                        Some(false) => return Some(invert),
-                        Some(true) => {}
-                        None => unknown = true,
-                    }
-                }
-                if unknown {
-                    None
-                } else {
-                    Some(!invert)
-                }
-            }
-            GateKind::Or | GateKind::Nor => {
-                let invert = matches!(self.kinds[gi], GateKind::Nor);
-                let mut unknown = false;
-                for &n in ins {
-                    match v(n) {
-                        Some(true) => return Some(!invert),
-                        Some(false) => {}
-                        None => unknown = true,
-                    }
-                }
-                if unknown {
-                    None
-                } else {
-                    Some(invert)
-                }
-            }
-            GateKind::Xor | GateKind::Xnor => {
-                let invert = matches!(self.kinds[gi], GateKind::Xnor);
-                if ins.len() == 2 && ins[0] == ins[1] {
-                    return Some(invert);
-                }
-                let mut acc = false;
-                for &n in ins {
-                    acc ^= v(n)?;
-                }
-                Some(acc ^ invert)
-            }
-            GateKind::Mux => {
-                let (s, a, b) = (ins[0], ins[1], ins[2]);
-                match v(s) {
-                    Some(false) => v(a),
-                    Some(true) => v(b),
-                    None => {
-                        if a == b {
-                            v(a)
-                        } else {
-                            match (v(a), v(b)) {
-                                (Some(x), Some(y)) if x == y => Some(x),
-                                _ => None,
-                            }
-                        }
-                    }
-                }
-            }
-        }
-    }
-
     /// Propagate constants to a forward fixed point (gates are already
     /// in topological order, so each round is one pass; learned
-    /// constants injected between rounds re-trigger it).
+    /// constants injected between rounds re-trigger it). Beyond
+    /// [`GateKind::eval_v3`], an xor/xnor over an even count of one net
+    /// is constant 0/1 whatever that net carries.
     fn propagate_constants(&mut self) {
+        let mut vals: Vec<V3> = Vec::new();
         loop {
             let mut changed = false;
             for gi in 0..self.kinds.len() {
                 let out = self.gate_out[gi] as usize;
-                if self.constv[out].is_none() {
-                    if let Some(v) = self.eval_const(gi) {
-                        self.constv[out] = Some(v);
-                        changed = true;
-                    }
+                if self.constv[out].is_some() {
+                    continue;
+                }
+                let kind = self.kinds[gi];
+                let ins = self.ins(gi);
+                let v = if matches!(kind, GateKind::Xor | GateKind::Xnor)
+                    && ins.len().is_multiple_of(2)
+                    && ins.iter().all(|&n| n == ins[0])
+                {
+                    Some(kind.inverts())
+                } else {
+                    vals.clear();
+                    vals.extend(ins.iter().map(|&n| V3::from(self.constv[n as usize])));
+                    kind.eval_v3(&vals).to_bool()
+                };
+                if v.is_some() {
+                    self.constv[out] = v;
+                    changed = true;
                 }
             }
             if !changed {
@@ -416,25 +344,18 @@ impl ImplicationEngine {
             }
         }
         for gi in 0..self.kinds.len() {
-            if self.opaque[gi] {
-                continue;
-            }
             let o = self.gate_out[gi] as usize;
             if self.constv[o].is_some() {
                 continue; // literals on a constant net are settled
             }
             let ins = self.ins(gi);
-            match self.kinds[gi] {
+            let kind = self.kinds[gi];
+            let invert = kind.inverts();
+            match kind {
                 GateKind::Const0 | GateKind::Const1 => {}
-                GateKind::Buf => buf_pair(&mut pairs, o, ins[0] as usize, false),
-                GateKind::Not => buf_pair(&mut pairs, o, ins[0] as usize, true),
+                GateKind::Buf | GateKind::Not => buf_pair(&mut pairs, o, ins[0] as usize, invert),
                 GateKind::And | GateKind::Nand | GateKind::Or | GateKind::Nor => {
-                    let (ctrl, invert) = match self.kinds[gi] {
-                        GateKind::And => (false, false),
-                        GateKind::Nand => (false, true),
-                        GateKind::Or => (true, false),
-                        _ => (true, true),
-                    };
+                    let ctrl = kind.controlling_value().expect("and/or family");
                     // A constant controlling input would have made the
                     // output constant, so the surviving constants are
                     // all non-controlling and drop out of the function.
@@ -453,7 +374,6 @@ impl ImplicationEngine {
                     }
                 }
                 GateKind::Xor | GateKind::Xnor => {
-                    let invert = matches!(self.kinds[gi], GateKind::Xnor);
                     let mut parity = invert;
                     let mut unknown: Vec<usize> = Vec::new();
                     for &n in ins {
@@ -526,7 +446,10 @@ impl ImplicationEngine {
         let mut visited = 1usize;
         'walk: while let Some(l) = self.lit_stack.pop() {
             let l = l as usize;
-            let (a, b) = (self.edge_offsets[l] as usize, self.edge_offsets[l + 1] as usize);
+            let (a, b) = (
+                self.edge_offsets[l] as usize,
+                self.edge_offsets[l + 1] as usize,
+            );
             for i in a..b {
                 let m = self.edges[i] as usize;
                 if self.lit_seen[m] {
@@ -557,6 +480,9 @@ impl ImplicationEngine {
     /// iterated to a (bounded) fixed point.
     fn learn(&mut self) {
         self.propagate_constants();
+        self.propagated = (0..self.num_nets)
+            .filter_map(|n| self.constv[n].map(|v| (n as u32, v)))
+            .collect();
         self.build_edges();
         for round in 0..PROBE_ROUNDS {
             self.probe_rounds = round as u64 + 1;
@@ -646,6 +572,12 @@ impl ImplicationEngine {
         self.constv.get(net).copied().flatten()
     }
 
+    /// Constants `(net, value)` found by the first propagation pass,
+    /// before failed-literal learning, in net order (engine net space).
+    pub(crate) fn propagated_constants(&self) -> &[(u32, bool)] {
+        &self.propagated
+    }
+
     /// Database statistics for reports.
     pub fn stats(&self) -> ImplicationStats {
         ImplicationStats {
@@ -719,7 +651,10 @@ impl ImplicationEngine {
         self.lit_touched.push(l0 as u32);
         while let Some(l) = self.lit_stack.pop() {
             let l = l as usize;
-            let (a, b) = (self.edge_offsets[l] as usize, self.edge_offsets[l + 1] as usize);
+            let (a, b) = (
+                self.edge_offsets[l] as usize,
+                self.edge_offsets[l + 1] as usize,
+            );
             for i in a..b {
                 let m = self.edges[i] as usize;
                 if self.lit_seen[m] {
@@ -761,20 +696,18 @@ impl ImplicationEngine {
     /// Can the fault effect pass gate `gi`? `is_diff(pin)` marks the
     /// pins carrying a potential difference.
     fn gate_passes(&self, gi: usize, is_diff: impl Fn(usize) -> bool) -> bool {
-        if self.opaque[gi] {
-            return true;
-        }
         let ins = self.ins(gi);
-        match self.kinds[gi] {
+        let kind = self.kinds[gi];
+        match kind {
             GateKind::Const0 | GateKind::Const1 => false,
             GateKind::Buf | GateKind::Not | GateKind::Xor | GateKind::Xnor => true,
             GateKind::And | GateKind::Nand | GateKind::Or | GateKind::Nor => {
-                let ctrl = matches!(self.kinds[gi], GateKind::Or | GateKind::Nor);
+                let ctrl = kind.controlling_value();
                 // A side input forced to the controlling value pins the
                 // output in both machines.
                 !ins.iter()
                     .enumerate()
-                    .any(|(p, &s)| !is_diff(p) && self.forced(s as usize) == Some(ctrl))
+                    .any(|(p, &s)| !is_diff(p) && self.forced(s as usize) == ctrl)
             }
             GateKind::Mux => {
                 let (s, a, b) = (ins[0] as usize, ins[1] as usize, ins[2] as usize);

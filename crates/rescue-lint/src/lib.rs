@@ -52,19 +52,38 @@ use rescue_netlist::scan::{MultiScanNetlist, ScanNetlist};
 use rescue_netlist::Netlist;
 
 /// Lint a raw netlist view: run every design rule, then — when the
-/// structure is sound enough to levelize — SCOAP analysis.
+/// structure is sound enough to levelize — SCOAP analysis and the
+/// implication engine, whose first constant-propagation pass yields the
+/// [`Rule::StuckNet`] findings.
 pub fn lint(netlist: &LintNetlist) -> LintReport {
     let outcome = rules::run_rules(netlist);
     let mut diagnostics = outcome.diagnostics;
-    let (scoap, implication) = match (&outcome.topo, outcome.sound) {
+    let (stuck_nets, scoap, implication) = match (&outcome.topo, outcome.sound) {
         (Some(topo), true) => {
             let scoap = ScoapAnalysis::compute(netlist, topo);
             let mut engine = ImplicationEngine::from_lint(netlist, topo);
-            // Nets the 3-valued stuck-net rule already covers keep that
-            // rule; the implication engine reports only what plain
-            // constant propagation cannot see.
+            // Primary inputs and flip-flop Qs are unknown (full scan
+            // makes all state freely loadable), so these are the nets no
+            // input assignment can toggle.
+            let stuck_nets = engine.propagated_constants().to_vec();
+            for &(net, v) in &stuck_nets {
+                let bit = u8::from(v);
+                diagnostics.push(Diagnostic::new(
+                    Rule::StuckNet,
+                    format!(
+                        "net {} (n{net}) is constant {bit}: its stuck-at-{bit} fault is untestable",
+                        netlist.net_name(net)
+                    ),
+                    Some(net),
+                ));
+            }
+            // Stable: keeps every rule's findings in emission order.
+            diagnostics.sort_by_key(|d| d.rule);
+            // Nets plain constant propagation already covers keep the
+            // stuck-net rule; the redundancy report carries only what
+            // failed-literal learning and blocking add.
             let stuck: std::collections::HashSet<(u32, bool)> =
-                outcome.stuck_nets.iter().copied().collect();
+                stuck_nets.iter().copied().collect();
             let mut redundant_faults = Vec::new();
             for net in 0..netlist.num_nets() as u32 {
                 for v in [false, true] {
@@ -93,13 +112,13 @@ pub fn lint(netlist: &LintNetlist) -> LintReport {
                 stats: engine.stats(),
                 redundant_faults,
             };
-            (Some(scoap), Some(report))
+            (stuck_nets, Some(scoap), Some(report))
         }
-        _ => (None, None),
+        _ => (Vec::new(), None, None),
     };
     LintReport {
         diagnostics,
-        stuck_nets: outcome.stuck_nets,
+        stuck_nets,
         scoap,
         implication,
     }
@@ -198,8 +217,45 @@ mod tests {
         // JSON carries the impl section with the exact count.
         let v = rescue_obs::json::parse(&r.to_json("seeded")).unwrap();
         let imp_json = v.get("impl").unwrap();
-        assert_eq!(imp_json.get("redundant_faults").unwrap().as_int().unwrap(), 2);
-        assert!(imp_json.get("direct_implications").unwrap().as_int().unwrap() > 0);
+        assert_eq!(
+            imp_json.get("redundant_faults").unwrap().as_int().unwrap(),
+            2
+        );
+        assert!(
+            imp_json
+                .get("direct_implications")
+                .unwrap()
+                .as_int()
+                .unwrap()
+                > 0
+        );
+    }
+
+    #[test]
+    fn xor_same_net_identity_is_one_rule_for_lint_and_atpg() {
+        // xnor(a, a) = 1 and xor(a, a, a, a) = 0 whatever a carries.
+        // The stuck-net findings and the ATPG pre-pass constants come
+        // from the same propagation pass, so both views agree.
+        let mut b = NetlistBuilder::new();
+        b.enter_component("lc");
+        let a = b.input("a");
+        let x = b.gate(rescue_netlist::GateKind::Xnor, &[a, a]);
+        let y = b.xor(&[a, a, a, a]);
+        b.output(x, "x");
+        b.output(y, "y");
+        let n = b.finish().unwrap();
+
+        let r = lint_netlist(&n);
+        assert_eq!(
+            r.stuck_nets,
+            vec![(x.index() as u32, true), (y.index() as u32, false)]
+        );
+        assert_eq!(r.count_rule(Rule::StuckNet), 2);
+
+        let lev = rescue_netlist::Levelized::new(&n);
+        let eng = ImplicationEngine::from_levelized(&lev, &[None]);
+        assert_eq!(eng.net_constant(lev.new_net(x.index())), Some(true));
+        assert_eq!(eng.net_constant(lev.new_net(y.index())), Some(false));
     }
 
     #[test]

@@ -8,16 +8,18 @@
 //!    an error and disqualifies the netlist from the value-based
 //!    analyses below.
 //! 2. **Testability hazards** (sound netlists only) — dead logic that
-//!    no observation point can see, and nets constant propagation
-//!    proves can never toggle (their stuck-at faults are untestable by
-//!    construction), plus the informational capture-cone ambiguity
-//!    metric ICI exists to eliminate.
+//!    no observation point can see, plus the informational capture-cone
+//!    ambiguity metric ICI exists to eliminate. Nets constant
+//!    propagation proves can never toggle (their stuck-at faults are
+//!    untestable by construction) are reported by [`crate::lint`] from
+//!    the implication engine's first constant-propagation pass, which
+//!    only runs on netlists this group reaches.
 //! 3. **Scan integrity** (when chains are present) — every flip-flop on
 //!    exactly one chain, chain wiring consistent with the declared
 //!    order, no combinational path bypassing a scan mux.
 
 use crate::diag::{Diagnostic, Rule};
-use crate::ir::{LintDriver, LintGate, LintNetlist, NO_NET};
+use crate::ir::{LintDriver, LintNetlist, NO_NET};
 use rescue_netlist::GateKind;
 
 /// How many elements a loop/cone message names before eliding.
@@ -29,9 +31,6 @@ pub struct RuleOutcome {
     pub diagnostics: Vec<Diagnostic>,
     /// Topological order of gate indices, when the netlist is acyclic.
     pub topo: Option<Vec<usize>>,
-    /// Constant nets as `(net, value)` (subset of the
-    /// [`Rule::StuckNet`] diagnostics, machine-readable).
-    pub stuck_nets: Vec<(u32, bool)>,
     /// True when no structural (group 1) error fired, i.e. value-based
     /// analyses such as SCOAP are meaningful.
     pub sound: bool,
@@ -55,11 +54,9 @@ pub fn run_rules(lint: &LintNetlist) -> RuleOutcome {
     let sound = !diags
         .iter()
         .any(|d| d.severity == crate::diag::Severity::Error);
-    let mut stuck_nets = Vec::new();
     if sound {
         if let Some(topo) = &topo {
             check_dead_logic(lint, &drivers, &mut diags);
-            stuck_nets = check_stuck_nets(lint, topo, &mut diags);
             check_capture_ambiguity(lint, &drivers, topo, &mut diags);
         }
     }
@@ -73,7 +70,6 @@ pub fn run_rules(lint: &LintNetlist) -> RuleOutcome {
     RuleOutcome {
         diagnostics: diags,
         topo,
-        stuck_nets,
         sound,
     }
 }
@@ -461,104 +457,6 @@ fn check_dead_logic(lint: &LintNetlist, drivers: &[Vec<LintDriver>], diags: &mut
                 format!("flip-flop {} (ff{fi}) feeds no output or flip-flop", f.name),
                 Some(f.q),
             ));
-        }
-    }
-}
-
-/// Three-valued constant propagation. Primary inputs and flip-flop Qs
-/// are unknown (full scan makes all state freely loadable); constants
-/// flow forward from `const0`/`const1` gates and from algebraic
-/// identities (`xor(a, a) = 0`, `xnor(a, a) = 1`). Every net proved
-/// constant-`v` makes its stuck-at-`v` fault untestable by
-/// construction.
-fn check_stuck_nets(
-    lint: &LintNetlist,
-    topo: &[usize],
-    diags: &mut Vec<Diagnostic>,
-) -> Vec<(u32, bool)> {
-    let mut val: Vec<Option<bool>> = vec![None; lint.num_nets()];
-    for &gi in topo {
-        let g = &lint.gates[gi];
-        let v = eval3(g, &val);
-        if net_ok(lint, g.output) {
-            val[g.output as usize] = v;
-        }
-    }
-    let mut stuck = Vec::new();
-    for (net, v) in val.iter().enumerate() {
-        let Some(v) = *v else { continue };
-        let bit = u8::from(v);
-        diags.push(Diagnostic::new(
-            Rule::StuckNet,
-            format!(
-                "net {} (n{net}) is constant {bit}: its stuck-at-{bit} fault is untestable",
-                lint.net_name(net as u32)
-            ),
-            Some(net as u32),
-        ));
-        stuck.push((net as u32, v));
-    }
-    stuck
-}
-
-/// Evaluate one gate in three-valued logic (`None` = unknown).
-fn eval3(g: &LintGate, val: &[Option<bool>]) -> Option<bool> {
-    let pin = |i: usize| -> Option<bool> {
-        g.inputs
-            .get(i)
-            .and_then(|&n| val.get(n as usize).copied().flatten())
-    };
-    let all_same_net = || g.inputs.windows(2).all(|w| w[0] == w[1]);
-    match g.kind {
-        GateKind::Const0 => Some(false),
-        GateKind::Const1 => Some(true),
-        GateKind::Buf => pin(0),
-        GateKind::Not => pin(0).map(|v| !v),
-        GateKind::And | GateKind::Nand => {
-            let vs: Vec<Option<bool>> = (0..g.inputs.len()).map(pin).collect();
-            let and = if vs.contains(&Some(false)) {
-                Some(false)
-            } else if vs.iter().all(|v| *v == Some(true)) && !vs.is_empty() {
-                Some(true)
-            } else {
-                None
-            };
-            and.map(|v| if g.kind == GateKind::Nand { !v } else { v })
-        }
-        GateKind::Or | GateKind::Nor => {
-            let vs: Vec<Option<bool>> = (0..g.inputs.len()).map(pin).collect();
-            let or = if vs.contains(&Some(true)) {
-                Some(true)
-            } else if vs.iter().all(|v| *v == Some(false)) && !vs.is_empty() {
-                Some(false)
-            } else {
-                None
-            };
-            or.map(|v| if g.kind == GateKind::Nor { !v } else { v })
-        }
-        GateKind::Xor | GateKind::Xnor => {
-            let vs: Vec<Option<bool>> = (0..g.inputs.len()).map(pin).collect();
-            let parity = if vs.iter().all(Option::is_some) && !vs.is_empty() {
-                Some(vs.iter().fold(false, |a, v| a ^ v.unwrap_or(false)))
-            } else if g.inputs.len() >= 2 && g.inputs.len().is_multiple_of(2) && all_same_net() {
-                // xor(a, a, ...) over an even count of one net is 0
-                // regardless of a's value.
-                Some(false)
-            } else {
-                None
-            };
-            parity.map(|v| if g.kind == GateKind::Xnor { !v } else { v })
-        }
-        GateKind::Mux => {
-            let (s, a, b) = (pin(0), pin(1), pin(2));
-            match s {
-                Some(false) => a,
-                Some(true) => b,
-                None => match (a, b) {
-                    (Some(x), Some(y)) if x == y => Some(x),
-                    _ => None,
-                },
-            }
         }
     }
 }

@@ -51,6 +51,8 @@ fn two_gate_combinational_loop_is_detected() {
     assert_eq!(r.worst(), Some(Severity::Error));
     // A cyclic netlist cannot be levelized, so no SCOAP.
     assert!(r.scoap.is_none());
+    // Unsound: lint builds no implication engine, so no stuck nets.
+    assert!(r.implication.is_none() && r.stuck_nets.is_empty());
 }
 
 /// The same loop with its two gates attributed to different ICI
@@ -72,6 +74,8 @@ fn cross_component_loop_fires_both_rules() {
     let r = lint(&l);
     assert_eq!(r.count_rule(Rule::CombLoop), 1);
     assert_eq!(r.count_rule(Rule::CrossComponentLoop), 1);
+    // Unsound: lint builds no implication engine, so no stuck nets.
+    assert!(r.implication.is_none() && r.stuck_nets.is_empty());
 }
 
 /// Two gates claiming the same output net.
@@ -98,6 +102,8 @@ fn multiply_driven_net_is_detected() {
         .unwrap()];
     assert_eq!(d.net, Some(2));
     assert!(d.message.contains("2 drivers"), "{}", d.message);
+    // Unsound: lint builds no implication engine, so no stuck nets.
+    assert!(r.implication.is_none() && r.stuck_nets.is_empty());
 }
 
 /// A net that is read but driven by nothing.
@@ -115,6 +121,8 @@ fn undriven_net_is_detected() {
     let r = lint(&l);
     assert_eq!(r.count_rule(Rule::UndrivenNet), 1);
     assert_eq!(r.diagnostics[0].net, Some(1));
+    // Unsound: lint builds no implication engine, so no stuck nets.
+    assert!(r.implication.is_none() && r.stuck_nets.is_empty());
 }
 
 /// Unconnected pins, impossible arity, and a component index that names
@@ -136,6 +144,8 @@ fn floating_arity_and_attribution_errors() {
     assert_eq!(r.count_rule(Rule::FloatingInput), 1);
     assert_eq!(r.count_rule(Rule::BadArity), 1);
     assert_eq!(r.count_rule(Rule::Unattributed), 1);
+    // Unsound: lint builds no implication engine, so no stuck nets.
+    assert!(r.implication.is_none() && r.stuck_nets.is_empty());
 }
 
 /// A flip-flop removed from every scan chain of a scanned design.

@@ -13,7 +13,10 @@
 //! * the **stuck-at fault universe** can be enumerated and collapsed
 //!   ([`fault`]),
 //! * circuits can be simulated two-valued and **64-way bit-parallel**
-//!   ([`sim`]), which is what the ATPG fault simulator builds on,
+//!   ([`sim`]), which is what the ATPG fault simulator builds on, and
+//!   gates evaluate **three-valued** over {0, 1, X}
+//!   ([`GateKind::eval_v3`]), which is what PODEM and the lint
+//!   constant propagation build on,
 //! * a **levelized packed view** ([`levelized`]) flattens the gate graph
 //!   into level-ordered CSR arrays, built once per netlist and shared
 //!   immutably across fault-simulation worker threads,
@@ -52,6 +55,7 @@ mod netlist;
 pub mod scan;
 pub mod sim;
 pub mod text;
+mod threeval;
 pub mod verilog;
 
 pub use builder::{DffHandle, NetlistBuilder};
@@ -62,4 +66,5 @@ pub use levelized::Levelized;
 pub use netlist::{ComponentId, Dff, DffId, Driver, Gate, GateId, GateKind, NetId, Netlist};
 pub use scan::{MultiScanNetlist, ScanChain, ScanNetlist};
 pub use sim::{PatternBlock, SimOutput, WideBlock};
+pub use threeval::V3;
 pub use verilog::{to_verilog, VerilogOptions};

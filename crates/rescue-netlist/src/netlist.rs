@@ -122,6 +122,40 @@ pub enum GateKind {
 }
 
 impl GateKind {
+    /// Every gate kind, in declaration order.
+    pub(crate) const ALL: [GateKind; 11] = [
+        GateKind::Const0,
+        GateKind::Const1,
+        GateKind::Buf,
+        GateKind::Not,
+        GateKind::And,
+        GateKind::Or,
+        GateKind::Nand,
+        GateKind::Nor,
+        GateKind::Xor,
+        GateKind::Xnor,
+        GateKind::Mux,
+    ];
+
+    /// Stable lowercase name: the `Display` form, the netlist text and
+    /// fuzz-repro spelling, and the Verilog primitive of the n-ary
+    /// kinds. Builder net names and content hashes depend on it.
+    pub fn name(self) -> &'static str {
+        match self {
+            GateKind::Const0 => "const0",
+            GateKind::Const1 => "const1",
+            GateKind::Buf => "buf",
+            GateKind::Not => "not",
+            GateKind::And => "and",
+            GateKind::Or => "or",
+            GateKind::Nand => "nand",
+            GateKind::Nor => "nor",
+            GateKind::Xor => "xor",
+            GateKind::Xnor => "xnor",
+            GateKind::Mux => "mux",
+        }
+    }
+
     /// Whether `n` is a legal number of inputs for this gate kind.
     pub fn arity_ok(self, n: usize) -> bool {
         match self {
@@ -204,20 +238,19 @@ impl GateKind {
 
 impl fmt::Display for GateKind {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let s = match self {
-            GateKind::Const0 => "const0",
-            GateKind::Const1 => "const1",
-            GateKind::Buf => "buf",
-            GateKind::Not => "not",
-            GateKind::And => "and",
-            GateKind::Or => "or",
-            GateKind::Nand => "nand",
-            GateKind::Nor => "nor",
-            GateKind::Xor => "xor",
-            GateKind::Xnor => "xnor",
-            GateKind::Mux => "mux",
-        };
-        f.write_str(s)
+        f.write_str(self.name())
+    }
+}
+
+impl std::str::FromStr for GateKind {
+    type Err = String;
+
+    /// Inverse of [`GateKind::name`].
+    fn from_str(name: &str) -> Result<GateKind, String> {
+        GateKind::ALL
+            .into_iter()
+            .find(|k| k.name() == name)
+            .ok_or_else(|| format!("unknown gate kind: {name}"))
     }
 }
 

@@ -28,7 +28,7 @@
 //! * `gate <kind> <component> <in...>` — combinational gate; inputs
 //!   must reference already-declared signals (inputs, Qs, or earlier
 //!   gates), so the combinational part is loop-free by construction.
-//!   Kinds are the [`crate::GateKind`] names (`and`, `nor`, `mux`, …).
+//!   Kinds are the [`crate::GateKind::name`]s (`and`, `nor`, `mux`, …).
 //! * `output <name> <signal>` — primary output.
 //!
 //! Blank lines and `#` comments are ignored. [`parse`] validates
@@ -44,42 +44,6 @@
 
 use crate::builder::NetlistBuilder;
 use crate::netlist::{GateKind, Netlist};
-
-/// Stable lowercase name of a gate kind (shared with the fuzz repro
-/// format).
-pub fn kind_name(kind: GateKind) -> &'static str {
-    match kind {
-        GateKind::Const0 => "const0",
-        GateKind::Const1 => "const1",
-        GateKind::Buf => "buf",
-        GateKind::Not => "not",
-        GateKind::And => "and",
-        GateKind::Or => "or",
-        GateKind::Xor => "xor",
-        GateKind::Nand => "nand",
-        GateKind::Nor => "nor",
-        GateKind::Xnor => "xnor",
-        GateKind::Mux => "mux",
-    }
-}
-
-/// Inverse of [`kind_name`].
-pub fn kind_of_name(name: &str) -> Result<GateKind, String> {
-    Ok(match name {
-        "const0" => GateKind::Const0,
-        "const1" => GateKind::Const1,
-        "buf" => GateKind::Buf,
-        "not" => GateKind::Not,
-        "and" => GateKind::And,
-        "or" => GateKind::Or,
-        "xor" => GateKind::Xor,
-        "nand" => GateKind::Nand,
-        "nor" => GateKind::Nor,
-        "xnor" => GateKind::Xnor,
-        "mux" => GateKind::Mux,
-        other => return Err(format!("unknown gate kind: {other}")),
-    })
-}
 
 /// A name as a single whitespace-free token.
 fn token(name: &str) -> String {
@@ -119,7 +83,7 @@ pub fn to_text(n: &Netlist) -> String {
     for g in &n.gates {
         s.push_str(&format!(
             "gate {} {}",
-            kind_name(g.kind),
+            g.kind.name(),
             token(n.component_name(g.component)),
         ));
         for &i in &g.inputs {
@@ -198,7 +162,7 @@ pub fn parse(text: &str) -> Result<Netlist, String> {
                 if rest.len() < 2 {
                     return Err(at("gate wants `kind [component] inputs...`".to_owned()));
                 }
-                let kind = kind_of_name(rest[0]).map_err(&at)?;
+                let kind: GateKind = rest[0].parse().map_err(&at)?;
                 // The second token is a component name when it is not a
                 // signal index (kinds and components never collide with
                 // bare integers).
@@ -343,6 +307,18 @@ output sum 4
         ] {
             assert!(parse(bad).is_err(), "{bad:?} should fail");
         }
+    }
+
+    #[test]
+    fn every_gate_kind_name_round_trips() {
+        for kind in GateKind::ALL {
+            assert_eq!(kind.name().parse::<GateKind>(), Ok(kind));
+            assert_eq!(kind.to_string(), kind.name());
+        }
+        assert_eq!(
+            "zap".parse::<GateKind>(),
+            Err("unknown gate kind: zap".to_owned())
+        );
     }
 
     #[test]

@@ -362,6 +362,24 @@ fn error_response(
     write_response(stream, &resp, false)
 }
 
+/// `/stats.json`: instantaneous server state (distinct from the
+/// cumulative counters on `/metrics`).
+fn stats_json(state: &State) -> String {
+    let (running, queued) = state.gate.load();
+    let (designs, results) = state.caches.sizes();
+    let mut o = JsonObj::new();
+    o.str("title", &state.title)
+        .u64("jobs_running", running as u64)
+        .u64("jobs_queued", queued as u64)
+        .u64("designs_cached", designs as u64)
+        .u64("results_cached", results as u64)
+        .u64("jobs_accepted", state.jobs_accepted.get())
+        .u64("jobs_completed", state.jobs_completed.get())
+        .u64("jobs_failed", state.jobs_failed.get())
+        .u64("jobs_shed", state.jobs_shed.get());
+    o.finish()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -409,22 +427,4 @@ mod tests {
         drop(permit);
         assert!(gate.enter().is_some(), "freed slot must admit again");
     }
-}
-
-/// `/stats.json`: instantaneous server state (distinct from the
-/// cumulative counters on `/metrics`).
-fn stats_json(state: &State) -> String {
-    let (running, queued) = state.gate.load();
-    let (designs, results) = state.caches.sizes();
-    let mut o = JsonObj::new();
-    o.str("title", &state.title)
-        .u64("jobs_running", running as u64)
-        .u64("jobs_queued", queued as u64)
-        .u64("designs_cached", designs as u64)
-        .u64("results_cached", results as u64)
-        .u64("jobs_accepted", state.jobs_accepted.get())
-        .u64("jobs_completed", state.jobs_completed.get())
-        .u64("jobs_failed", state.jobs_failed.get())
-        .u64("jobs_shed", state.jobs_shed.get());
-    o.finish()
 }
