@@ -115,18 +115,23 @@ fn main() {
             threads,
             ..Default::default()
         };
-        let a = experiments::fig9(&Scenario::pwp_stagnates_at_90nm(), &p9);
-        if first {
-            print!("{}", render::fig9_text("a: PWP stagnates at 90nm", &a));
-            println!();
+        let panels = experiments::fig9_panels(
+            &[
+                Scenario::pwp_stagnates_at_90nm(),
+                Scenario::pwp_stagnates_at_65nm(),
+            ],
+            &p9,
+        );
+        for (tag, title, points) in [
+            ("a", "a: PWP stagnates at 90nm", &panels[0]),
+            ("b", "b: PWP stagnates at 65nm", &panels[1]),
+        ] {
+            if first {
+                print!("{}", render::fig9_text(title, points));
+                println!();
+            }
+            rescue_bench::fig9_report(report, &format!("fig9.panel_{tag}"), points);
         }
-        report.section("fig9.panel_a").u64("points", a.len() as u64);
-        let b = experiments::fig9(&Scenario::pwp_stagnates_at_65nm(), &p9);
-        if first {
-            print!("{}", render::fig9_text("b: PWP stagnates at 65nm", &b));
-            println!();
-        }
-        report.section("fig9.panel_b").u64("points", b.len() as u64);
 
         // Static DFT lint over both variants (pre- and post-scan): the
         // diagnostic counts gate exactly in bench-diff, the SCOAP

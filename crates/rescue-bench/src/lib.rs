@@ -50,6 +50,7 @@ pub mod diff;
 pub mod stats;
 
 use rescue_core::atpg::AtpgMetrics;
+use rescue_core::experiments::Fig9Point;
 use rescue_core::pipesim::{SimResult, IPC_WINDOW_CYCLES};
 use rescue_obs::{CoverageCurve, Report};
 
@@ -978,4 +979,20 @@ pub fn sim_report(report: &mut Report, name: &str, r: &SimResult) {
         .f64("avg_rob_occupancy", r.avg_rob_occupancy())
         .u64("ipc_window_cycles", IPC_WINDOW_CYCLES)
         .hist("committed_per_window", r.ipc_windows.clone());
+}
+
+/// Fill the report sections of one Figure-9 panel: the point count under
+/// `name`, then one section per (node, growth) point,
+/// `{name}.{node}nm.g{growth}`, with its core count and the none,
+/// core-sparing and Rescue relative YAT.
+pub fn fig9_report(report: &mut Report, name: &str, points: &[Fig9Point]) {
+    report.section(name).u64("points", points.len() as u64);
+    for p in points {
+        report
+            .section(&format!("{name}.{}nm.g{}", p.node_nm, p.growth))
+            .u64("cores", p.yat.cores as u64)
+            .f64("none", p.yat.none)
+            .f64("core_sparing", p.yat.core_sparing)
+            .f64("rescue", p.yat.rescue);
+    }
 }

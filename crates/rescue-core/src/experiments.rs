@@ -588,25 +588,34 @@ pub struct Fig9Point {
     pub rescue_self_healing: Option<f64>,
 }
 
-/// Regenerate one panel of Figure 9 under `scenario`.
-///
-/// Per-benchmark, per-node IPCs for all 64 degraded Rescue configurations
-/// are simulated once and memoized; the YAT math then averages the
-/// relative YAT across benchmarks (the paper's reporting).
+/// Regenerate one panel of Figure 9 under `scenario` (see
+/// [`fig9_panels`]).
 pub fn fig9(scenario: &Scenario, p: &Fig9Params) -> Vec<Fig9Point> {
+    fig9_panels(std::slice::from_ref(scenario), p)
+        .pop()
+        .expect("one panel per scenario")
+}
+
+/// Regenerate one panel of Figure 9 per scenario.
+///
+/// The scenario enters only the YAT math, so the per-benchmark, per-node
+/// IPCs of the healthy baseline and all 64 degraded Rescue configurations
+/// are simulated once for all panels; the YAT math then averages the
+/// relative YAT across benchmarks (the paper's reporting). Each panel is
+/// identical to the one a call with its scenario alone returns.
+pub fn fig9_panels(scenarios: &[Scenario], p: &Fig9Params) -> Vec<Vec<Fig9Point>> {
     let _s = rescue_obs::span("fig9");
     let profiles = selected_profiles(&p.benchmarks);
-    let mut out = Vec::new();
+    let mut out = vec![Vec::new(); scenarios.len()];
     for &node in &p.nodes {
         let _s = rescue_obs::span("fig9.node");
         let halvings = node.halvings().round() as u32;
         let base_cfg = SimConfig::paper(Policy::Baseline).scaled_to_halvings(halvings);
         let resc_cfg = SimConfig::paper(Policy::Rescue).scaled_to_halvings(halvings);
 
-        // Memoized per-benchmark IPCs; the 65 simulations per benchmark
-        // are independent, so shard the benchmarks across the configured
-        // worker count (previously one unconditional thread per
-        // benchmark). Joining shards in order keeps `per_bench` in
+        // Per-benchmark IPCs; the 65 simulations per benchmark are
+        // independent, so shard the benchmarks across the configured
+        // worker count. Joining shards in order keeps `per_bench` in
         // profile order, so the averaging below is order-identical.
         let bench_point = |prof: &BenchmarkProfile| {
             let base = simulate(
@@ -648,50 +657,59 @@ pub fn fig9(scenario: &Scenario, p: &Fig9Params) -> Vec<Fig9Point> {
             out
         };
 
-        for &growth in &p.growths {
-            // Average the relative YAT across benchmarks.
-            let mut acc: Option<YatPoint> = None;
-            let mut acc_heal = 0.0;
-            for (base_ipc, map) in &per_bench {
-                let f = |c: ClassCounts| -> f64 { map[&c] };
-                let inputs = YatInputs {
-                    ipc_baseline: *base_ipc,
-                    ipc_rescue: &f,
-                };
-                let pt = relative_yat(scenario, node, growth, &inputs);
-                if p.include_self_healing {
-                    let inputs = YatInputs {
-                        ipc_baseline: *base_ipc,
-                        ipc_rescue: &f,
-                    };
-                    acc_heal += relative_yat_self_healing(scenario, node, growth, &inputs).rescue;
-                }
-                acc = Some(match acc {
-                    None => pt,
-                    Some(a) => YatPoint {
-                        cores: pt.cores,
-                        none: a.none + pt.none,
-                        core_sparing: a.core_sparing + pt.core_sparing,
-                        rescue: a.rescue + pt.rescue,
-                    },
-                });
+        for (scenario, panel) in scenarios.iter().zip(&mut out) {
+            for &growth in &p.growths {
+                panel.push(fig9_point(scenario, node, growth, &per_bench, p));
             }
-            let n = per_bench.len() as f64;
-            let a = acc.expect("at least one benchmark");
-            out.push(Fig9Point {
-                node_nm: node.0,
-                growth,
-                yat: YatPoint {
-                    cores: a.cores,
-                    none: a.none / n,
-                    core_sparing: a.core_sparing / n,
-                    rescue: a.rescue / n,
-                },
-                rescue_self_healing: p.include_self_healing.then_some(acc_heal / n),
-            });
         }
     }
     out
+}
+
+/// One Figure-9 point: the relative YAT at (`node`, `growth`) averaged
+/// over the benchmarks' IPC tables.
+fn fig9_point(
+    scenario: &Scenario,
+    node: TechNode,
+    growth: f64,
+    per_bench: &[(f64, HashMap<ClassCounts, f64>)],
+    p: &Fig9Params,
+) -> Fig9Point {
+    let mut acc: Option<YatPoint> = None;
+    let mut acc_heal = 0.0;
+    for (base_ipc, map) in per_bench {
+        let f = |c: ClassCounts| -> f64 { map[&c] };
+        let inputs = YatInputs {
+            ipc_baseline: *base_ipc,
+            ipc_rescue: &f,
+        };
+        let pt = relative_yat(scenario, node, growth, &inputs);
+        if p.include_self_healing {
+            acc_heal += relative_yat_self_healing(scenario, node, growth, &inputs).rescue;
+        }
+        acc = Some(match acc {
+            None => pt,
+            Some(a) => YatPoint {
+                cores: pt.cores,
+                none: a.none + pt.none,
+                core_sparing: a.core_sparing + pt.core_sparing,
+                rescue: a.rescue + pt.rescue,
+            },
+        });
+    }
+    let n = per_bench.len() as f64;
+    let a = acc.expect("at least one benchmark");
+    Fig9Point {
+        node_nm: node.0,
+        growth,
+        yat: YatPoint {
+            cores: a.cores,
+            none: a.none / n,
+            core_sparing: a.core_sparing / n,
+            rescue: a.rescue / n,
+        },
+        rescue_self_healing: p.include_self_healing.then_some(acc_heal / n),
+    }
 }
 
 // ------------------------------------------------------------ Ablations

@@ -11,7 +11,7 @@
 //! | Table 3 (scan chain data) | [`experiments::table3`] |
 //! | §6.1 fault isolation (6000 faults) | [`experiments::isolation`] |
 //! | Figure 8 (IPC degradation) | [`experiments::fig8`] |
-//! | Figure 9 (YAT vs technology) | [`experiments::fig9`] |
+//! | Figure 9 (YAT vs technology) | [`experiments::fig9_panels`] (both panels), [`experiments::fig9`] |
 //!
 //! The individual substrates are re-exported for direct use:
 //! [`netlist`], [`atpg`], [`ici`], [`model`], [`pipesim`], [`workloads`],

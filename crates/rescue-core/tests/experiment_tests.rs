@@ -98,6 +98,44 @@ fn fig9_points(p: &Fig9Params) -> Vec<rescue_core::experiments::Fig9Point> {
 }
 
 #[test]
+fn shared_ipc_table_gives_each_panel_bit_for_bit() {
+    let p = Fig9Params {
+        n_instr: 1_000,
+        seed: 5,
+        growths: vec![1.2, 1.5],
+        nodes: vec![TechNode::NM65, TechNode::NM18],
+        benchmarks: Some(vec!["mcf".into(), "applu".into()]),
+        include_self_healing: true,
+        ..Default::default()
+    };
+    let scenarios = [
+        Scenario::pwp_stagnates_at_90nm(),
+        Scenario::pwp_stagnates_at_65nm(),
+    ];
+    let bits = |pts: &[rescue_core::experiments::Fig9Point]| -> Vec<[u64; 7]> {
+        pts.iter()
+            .map(|q| {
+                [
+                    q.node_nm.to_bits(),
+                    q.growth.to_bits(),
+                    q.yat.cores as u64,
+                    q.yat.none.to_bits(),
+                    q.yat.core_sparing.to_bits(),
+                    q.yat.rescue.to_bits(),
+                    q.rescue_self_healing.expect("requested").to_bits(),
+                ]
+            })
+            .collect()
+    };
+    let panels = experiments::fig9_panels(&scenarios, &p);
+    assert_eq!(panels.len(), 2);
+    for (scenario, panel) in scenarios.iter().zip(&panels) {
+        assert_eq!(panel.len(), 4);
+        assert_eq!(bits(panel), bits(&experiments::fig9(scenario, &p)));
+    }
+}
+
+#[test]
 fn class_counts_mapping_roundtrip() {
     for cfg in CoreConfig::all_degraded() {
         let c = class_counts_of(&cfg);

@@ -8,15 +8,19 @@ use crate::tech::{Scenario, TechNode};
 /// Number of redundant resource classes.
 pub const NUM_CLASSES: usize = 6;
 
+/// Number of live configurations (each class at 1 or 2 groups).
+const NUM_CONFIGS: usize = 1 << NUM_CLASSES;
+
 /// Surviving groups per class, in [`crate::area::CLASS_NAMES`] order
 /// (`[frontend, int IQ, fp IQ, LSQ, int backend, fp backend]`); each entry
 /// is 1 or 2.
 pub type ClassCounts = [u8; NUM_CLASSES];
 
-/// All 64 live configurations.
+/// All 64 live configurations; entry `bits` has class `i` at one group
+/// exactly when bit `i` of `bits` is set.
 pub fn all_class_counts() -> Vec<ClassCounts> {
-    let mut v = Vec::with_capacity(64);
-    for bits in 0..64u32 {
+    let mut v = Vec::with_capacity(NUM_CONFIGS);
+    for bits in 0..NUM_CONFIGS {
         let mut c = [2u8; NUM_CLASSES];
         for (i, item) in c.iter_mut().enumerate() {
             if bits & (1 << i) != 0 {
@@ -122,15 +126,22 @@ fn relative_yat_with_areas(
     // --- Rescue: per-core expected IPC across configurations, normalized
     // by the baseline IPC.
     let rescue_rel = gamma_mixture_integrate(alpha, |x| {
-        let kill_ok = (-(lam_chipkill) * x).exp();
-        let mut e = 0.0;
-        for (cfg, &ipc) in configs.iter().zip(&ipcs) {
-            let mut p = kill_ok;
-            for (i, &k) in cfg.iter().enumerate() {
-                p *= ConfigProb::groups_survive(lam_group[i] * x, k);
+        // Survival probability of every configuration, built as a prefix
+        // tree over the classes: entry `bits` of `all_class_counts` is
+        // `kill_ok · P(k_0) · … · P(k_5)`, multiplied left to right as a
+        // product per configuration would be, from 12 per-class values.
+        let mut p = [0.0; NUM_CONFIGS];
+        p[0] = (-(lam_chipkill) * x).exp();
+        for (i, &lam) in lam_group.iter().enumerate() {
+            let both = ConfigProb::groups_survive(lam * x, 2);
+            let one = ConfigProb::groups_survive(lam * x, 1);
+            let half = 1 << i;
+            for m in 0..half {
+                p[m | half] = p[m] * one;
+                p[m] *= both;
             }
-            e += p * ipc;
         }
+        let e = p.iter().zip(&ipcs).fold(0.0, |e, (p, ipc)| e + p * ipc);
         e / ipc_b
     });
 
@@ -166,6 +177,71 @@ mod tests {
         assert!(healed.rescue > plain.rescue);
         // The CS and none series use the baseline core: unchanged.
         assert!((healed.core_sparing - plain.core_sparing).abs() < 1e-12);
+    }
+
+    /// The Rescue series with one direct product per configuration and
+    /// abscissa, which the prefix tree must reproduce bit for bit.
+    fn rescue_direct(
+        scenario: &Scenario,
+        node: TechNode,
+        growth: f64,
+        ipc: &dyn Fn(ClassCounts) -> f64,
+        self_healing: bool,
+    ) -> f64 {
+        let density = scenario.fault_density(node);
+        let shrink = scenario.core_shrink(node, growth);
+        let baseline = AreaModel::baseline();
+        let rescue = if self_healing {
+            baseline.rescue_with_self_healing_arrays()
+        } else {
+            baseline.rescue()
+        };
+        let lam_chipkill = rescue.chipkill_mm2 * shrink * density;
+        let lam_group: Vec<f64> = (0..NUM_CLASSES)
+            .map(|i| rescue.group_mm2(i) * shrink * density)
+            .collect();
+        gamma_mixture_integrate(scenario.alpha, |x| {
+            let kill_ok = (-(lam_chipkill) * x).exp();
+            let mut e = 0.0;
+            for cfg in all_class_counts() {
+                let mut p = kill_ok;
+                for (i, &k) in cfg.iter().enumerate() {
+                    p *= ConfigProb::groups_survive(lam_group[i] * x, k);
+                }
+                e += p * ipc(cfg);
+            }
+            e / 1.05
+        })
+    }
+
+    #[test]
+    fn prefix_tree_matches_direct_products_bit_for_bit() {
+        // Distinct IPCs per configuration, so a permuted product order or
+        // configuration index would show.
+        let ipc = |c: ClassCounts| -> f64 {
+            c.iter()
+                .enumerate()
+                .map(|(i, &k)| if k == 1 { 0.013 * (i + 1) as f64 } else { 0.0 })
+                .fold(0.97, |a, d| a - d)
+        };
+        for sc in [
+            Scenario::pwp_stagnates_at_90nm(),
+            Scenario::pwp_stagnates_at_65nm(),
+        ] {
+            for node in TechNode::figure9_nodes() {
+                for growth in [1.2, 1.5] {
+                    for self_healing in [false, true] {
+                        let inputs = YatInputs {
+                            ipc_baseline: 1.05,
+                            ipc_rescue: &ipc,
+                        };
+                        let got = relative_yat_with_areas(&sc, node, growth, &inputs, self_healing);
+                        let want = rescue_direct(&sc, node, growth, &ipc, self_healing);
+                        assert_eq!(got.rescue.to_bits(), want.to_bits(), "{node:?} x{growth}");
+                    }
+                }
+            }
+        }
     }
 
     fn flat_inputs(rescue_ipc: f64) -> (f64, Box<dyn Fn(ClassCounts) -> f64>) {
